@@ -2,7 +2,6 @@
 
 #include "support/assert.h"
 #include "sync/waiter.h"
-#include "topo/binding.h"
 
 namespace orwl {
 
@@ -81,9 +80,7 @@ void FifoQueue::ensure_capacity(std::size_t want) {
   // Read-run scratch sized to the ring: a grant run can never exceed
   // capacity, so the combiner's collection loop never allocates.
   batch_slots_.reserve(fresh_cap);
-  batch_tickets_.reserve(fresh_cap);
   batch_reqs_.reserve(fresh_cap);
-  announce_slots_.reserve(fresh_cap);
 }
 
 void FifoQueue::reserve_owners(std::size_t n) {
@@ -189,10 +186,7 @@ void FifoQueue::mark_released(Request& req) {
 }
 
 void FifoQueue::combine() {
-  // The caller's cached NUMA node feeds the combiner's preferred-owner
-  // handoff (sync/combiner.h): sync:: sits below topo::, so the node id is
-  // plumbed in here, at the first layer that may know the topology.
-  combiner_.run([this] { advance(); }, topo::current_node_id());
+  combiner_.run([this] { advance(); });
 }
 
 void FifoQueue::advance() {
@@ -229,6 +223,11 @@ void FifoQueue::advance() {
   // ticket-monotone: identical to a single-threaded replay.
   // order: relaxed — combiner-private (see above).
   Ticket granted = granted_.load(std::memory_order_relaxed);
+  // A sink that threw out of an earlier announcement left its collected
+  // run here; those tickets are already past granted_ (at-most-once), so
+  // the stale run is dropped, never re-announced.
+  batch_slots_.clear();
+  Ticket run_last = 0;  // last collected ticket (the only one read)
   for (Ticket i = head;; ++i) {
     Slot& s = slots_[i & mask_];
     // order: acquire — publication guard, as in phase 1. A not-yet-
@@ -252,29 +251,17 @@ void FifoQueue::advance() {
       if (batch_grants_) {
         // Collect the read run; announced as ONE batch after the scan.
         batch_slots_.push_back(&s);
-        batch_tickets_.push_back(i);
+        run_last = i;
       } else {
         grant_one(s, i);
       }
       granted = i + 1;
     }
   }
-  if (!batch_slots_.empty()) {
-    if (batch_slots_.size() == 1) {
-      // Run of one: announced per-grant. The collection scratch is
-      // emptied BEFORE the sink call (grant_run does the same) so a
-      // throwing sink cannot leave a stale run for the next advance() —
-      // which would re-announce tickets whose slots phase-1 reclaim may
-      // already have recycled.
-      Slot& s = *batch_slots_.front();
-      const Ticket t = batch_tickets_.front();
-      batch_slots_.clear();
-      batch_tickets_.clear();
-      grant_one(s, t);
-    } else {
-      grant_run(batch_tickets_.back());
-    }
-  }
+  if (batch_slots_.size() == 1)
+    grant_one(*batch_slots_.front(), run_last);  // run of one: per-grant
+  else if (!batch_slots_.empty())
+    grant_run(run_last);
 }
 
 void FifoQueue::grant_run(Ticket t_last) {
@@ -283,9 +270,7 @@ void FifoQueue::grant_run(Ticket t_last) {
   // announcement of any of its tickets (at-most-once contract).
   granted_.store(t_last + 1, std::memory_order_relaxed);
   batch_reqs_.clear();
-  announce_slots_.clear();
   for (Slot* s : batch_slots_) {
-    announce_slots_.push_back(s);
     // order: relaxed — the slot's seq acquire load (advance) already
     // guards this field.
     Request& r = *s->req.load(std::memory_order_relaxed);
@@ -294,14 +279,6 @@ void FifoQueue::grant_run(Ticket t_last) {
     // the grantee, exactly as in grant_one.
     r.state.store(RequestState::Granted, std::memory_order_release);
   }
-  // The collection scratch is emptied BEFORE the sink call: a throwing
-  // sink unwinds into the combiner's exception recovery, and the next
-  // advance() must not find (and re-announce) a stale run — its slots may
-  // since have been reclaimed, or reused by a later lap's requests. The
-  // in-flight run lives on in announce_slots_/batch_reqs_, read only by
-  // this announcement and its guard.
-  batch_slots_.clear();
-  batch_tickets_.clear();
 
 #if ORWL_PROTOCOL_ASSERTS_ENABLED
   AnnounceScope announce_scope(this);
@@ -321,7 +298,7 @@ void FifoQueue::grant_run(Ticket t_last) {
         // spin; orders the sink's last use of the Request before reuse.
         s->announced.store(true, std::memory_order_release);
     }
-  } announced_guard{announce_slots_};
+  } announced_guard{batch_slots_};
   sink_->on_grant_batch({batch_reqs_.data(), batch_reqs_.size()});
 }
 

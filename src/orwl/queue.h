@@ -216,11 +216,6 @@ class FifoQueue : public RequestPort {
   /// runtime applies RuntimeOptions::batch_grants; benches A/B it).
   void set_batch_grants(bool on) { batch_grants_ = on; }
 
-  /// The grant-path combiner — exposed for stats (handoffs/cross_node
-  /// metrics export) and for tests that shrink its handoff spin budgets.
-  [[nodiscard]] sync::Combiner& combiner() { return combiner_; }
-  [[nodiscard]] const sync::Combiner& combiner() const { return combiner_; }
-
  private:
   /// One ring slot. A ticket t lives in slots_[t & mask_]; the slot's
   /// `seq` walks t (free for round t) → t+1 (occupied by round t) →
@@ -268,20 +263,14 @@ class FifoQueue : public RequestPort {
   GrantSink* sink_;
 
   bool batch_grants_ = true;
-  /// Read-run collection scratch, combiner-private (only touched while
-  /// holding the combiner role). Reserved to ring capacity by
-  /// ensure_capacity, so the steady-state grant path never allocates.
-  /// Emptied BEFORE every sink call: a throwing sink unwinds into the
-  /// combiner's exception recovery, and the next advance() must never
-  /// find a stale collected run to re-announce.
+  /// Read-run scratch, combiner-private (only touched while holding the
+  /// combiner role): the collected run's slots and the requests handed to
+  /// on_grant_batch. Reserved to ring capacity by ensure_capacity, so the
+  /// steady-state grant path never allocates. advance() empties
+  /// batch_slots_ before collecting, so a run left behind by a throwing
+  /// sink is dropped rather than re-announced.
   std::vector<Slot*> batch_slots_;
-  std::vector<Ticket> batch_tickets_;
-  /// The run currently being announced (requests + their slots), owned by
-  /// the in-flight on_grant_batch call and its announced-flag guard —
-  /// separate from the collection scratch so that scratch can be cleared
-  /// before the sink runs. Same reservation contract as above.
   std::vector<Request*> batch_reqs_;
-  std::vector<Slot*> announce_slots_;
 };
 
 }  // namespace orwl

@@ -588,17 +588,6 @@ void Runtime::run() {
   for (auto& q : shared_queues_) q->stop();
   for (auto& th : control) th.join();
 
-  // Combiner locality stats, summed over the location queues now that
-  // everything is quiescent, so post-run snapshots read exact totals.
-  std::uint64_t handoffs = 0;
-  std::uint64_t cross_node = 0;
-  for (const auto& loc : locations_) {
-    handoffs += loc->queue().combiner().handoffs();
-    cross_node += loc->queue().combiner().cross_node();
-  }
-  metrics_.counter("orwl.combiner.handoffs").add(handoffs);
-  metrics_.counter("orwl.combiner.cross_node").add(cross_node);
-
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -258,74 +258,15 @@ TEST(ShardedCounter, ConcurrentIncrementsSumExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Combiner: preferred-owner (NUMA-aware) handoff
+// Combiner
 // ---------------------------------------------------------------------------
 
-TEST(Combiner, PreferredOwnerHandoffIsDeterministicallyReachable) {
-  // Choreographed two-thread handoff on real threads. B's spin_observer
-  // raises a flag from inside its linger loop, and A's process function
-  // holds the round open until it sees the flag — so when A closes the
-  // round, B is provably lingering on A's node and the baton offer MUST
-  // be claimed (both rendezvous budgets are effectively unbounded, so a
-  // loaded machine cannot time the offer out into a retraction).
+TEST(Combiner, StressKeepsExclusionAndLosesNoWork) {
+  // Unchoreographed stress: announcers race for the role, lose it, and
+  // announce mid-round at whatever interleavings the scheduler serves.
+  // process() stays mutually exclusive and every announced unit is
+  // drained exactly once.
   sync::Combiner combiner;
-  combiner.set_handoff_budgets(/*linger_rounds=*/1 << 30,
-                               /*offer_rounds=*/1 << 30);
-  std::atomic<bool> b_lingering{false};
-  std::atomic<int> in_process{0};
-  std::atomic<int> rounds_a{0};
-  std::atomic<int> rounds_b{0};
-  std::atomic<bool> violated{false};
-
-  std::thread a([&] {
-    combiner.run(
-        [&] {
-          if (in_process.fetch_add(1) != 0) violated = true;
-          rounds_a.fetch_add(1);
-          // Hold the round open until B is lingering for the baton.
-          while (!b_lingering.load()) std::this_thread::yield();
-          in_process.fetch_sub(1);
-        },
-        /*node=*/0);
-  });
-  std::thread b([&] {
-    // Wait for A to hold the combiner role, so our announcement loses.
-    while (in_process.load() == 0 && rounds_a.load() == 0)
-      std::this_thread::yield();
-    sync::Combiner::spin_observer = {
-        [](void* arg) {
-          static_cast<std::atomic<bool>*>(arg)->store(true);
-        },
-        &b_lingering};
-    combiner.run(
-        [&] {
-          if (in_process.fetch_add(1) != 0) violated = true;
-          rounds_b.fetch_add(1);
-          in_process.fetch_sub(1);
-        },
-        /*node=*/0);
-    sync::Combiner::spin_observer = {nullptr, nullptr};
-  });
-  a.join();
-  b.join();
-
-  EXPECT_FALSE(violated.load()) << "process() ran concurrently";
-  EXPECT_EQ(combiner.handoffs(), 1u)
-      << "the lingering same-node announcer must have claimed the baton";
-  EXPECT_EQ(rounds_a.load(), 1);
-  EXPECT_EQ(rounds_b.load(), 1)
-      << "the transferred backlog must be processed by the new owner";
-}
-
-TEST(Combiner, HandoffStressKeepsExclusionAndLosesNoWork) {
-  // Unchoreographed stress across two fabricated nodes: announcers race,
-  // linger, give up (the spurious-rendezvous case: a budget-exhausted
-  // lingerer leaves exactly as a spuriously woken waiter re-parks), claim
-  // batons and retract offers at whatever interleavings the scheduler
-  // serves. Whatever mix of paths fires, process() stays mutually
-  // exclusive and every announced unit is drained exactly once.
-  sync::Combiner combiner;
-  combiner.set_handoff_budgets(/*linger_rounds=*/64, /*offer_rounds=*/64);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 20000;
   std::atomic<int> work{0};
@@ -335,17 +276,14 @@ TEST(Combiner, HandoffStressKeepsExclusionAndLosesNoWork) {
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      const int node = t % 2;
+    threads.emplace_back([&] {
       for (int op = 0; op < kOpsPerThread; ++op) {
         work.fetch_add(1);
-        combiner.run(
-            [&] {
-              if (in_process.fetch_add(1) != 0) violated = true;
-              processed.fetch_add(work.exchange(0));
-              in_process.fetch_sub(1);
-            },
-            node);
+        combiner.run([&] {
+          if (in_process.fetch_add(1) != 0) violated = true;
+          processed.fetch_add(work.exchange(0));
+          in_process.fetch_sub(1);
+        });
       }
     });
   for (auto& th : threads) th.join();

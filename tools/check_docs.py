@@ -4,10 +4,14 @@
 Run from the repository root (CI's docs job and the `docs_check` CTest do):
 
   python3 tools/check_docs.py
+  python3 tools/check_docs.py --self-test   # a dangling anchor is caught
 
 Checks, stdlib only:
   1. every relative markdown link in README.md and docs/*.md resolves to an
-     existing file (http(s)/mailto links and pure #anchors are skipped);
+     existing file (http(s)/mailto links are skipped), and every #anchor
+     into a markdown file (its own or another) matches a heading slug of
+     that file, slugged the way GitHub does (lowercase, punctuation
+     dropped, spaces become '-', repeats suffixed -1, -2, ...);
   2. the first ```cpp fenced block in README.md equals (after dedent) the
      region between the `// [quickstart-begin]` / `// [quickstart-end]`
      markers of examples/quickstart.cpp — the file the build compiles — so
@@ -19,34 +23,65 @@ Exit status 0 when clean; 1 with a per-finding report otherwise.
 import os
 import re
 import sys
+import tempfile
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_CPP_RE = re.compile(r"```cpp\n(.*?)```", re.DOTALL)
+HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 
-def markdown_files():
+def markdown_files(root="."):
     files = ["README.md"]
-    if os.path.isdir("docs"):
+    if os.path.isdir(os.path.join(root, "docs")):
         files += sorted(
-            os.path.join("docs", f) for f in os.listdir("docs")
+            os.path.join("docs", f)
+            for f in os.listdir(os.path.join(root, "docs"))
             if f.endswith(".md"))
     return files
 
 
-def check_links(errors):
-    for md in markdown_files():
-        with open(md, encoding="utf-8") as f:
+def slug(heading):
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading).lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def heading_slugs(text):
+    """Anchors GitHub generates for `text`'s headings (code fences skipped)."""
+    slugs, seen, in_fence = set(), {}, False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        m = None if in_fence else HEADING_RE.match(line)
+        if not m:
+            continue
+        base = slug(m.group(1))
+        n = seen.get(base, 0)
+        seen[base] = n + 1
+        slugs.add(base if n == 0 else f"{base}-{n}")
+    return slugs
+
+
+def check_links(errors, root="."):
+    for md in markdown_files(root):
+        with open(os.path.join(root, md), encoding="utf-8") as f:
             text = f.read()
         base = os.path.dirname(md)
         for target in LINK_RE.findall(text):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
+            if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            path = target.split("#", 1)[0]
-            if not path:
-                continue
-            resolved = os.path.normpath(os.path.join(base, path))
-            if not os.path.exists(resolved):
+            path, _, anchor = target.partition("#")
+            resolved = md
+            if path:
+                resolved = os.path.normpath(os.path.join(base, path))
+            full = os.path.join(root, resolved)
+            if not os.path.exists(full):
                 errors.append(f"{md}: broken link -> {target}")
+                continue
+            if anchor and resolved.endswith(".md"):
+                with open(full, encoding="utf-8") as f:
+                    if anchor not in heading_slugs(f.read()):
+                        errors.append(f"{md}: dangling anchor -> {target}")
 
 
 def dedent(lines):
@@ -92,7 +127,33 @@ def check_quickstart_parity(errors):
                               f"{want!r}")
 
 
+def self_test():
+    """One good and one dangling anchor: exactly the dangling one fails."""
+    with tempfile.TemporaryDirectory() as root:
+        os.mkdir(os.path.join(root, "docs"))
+        with open(os.path.join(root, "docs", "target.md"), "w",
+                  encoding="utf-8") as f:
+            f.write("# Target\n\n## The lock-free `grant` path\n")
+        with open(os.path.join(root, "README.md"), "w",
+                  encoding="utf-8") as f:
+            f.write("[good](docs/target.md#the-lock-free-grant-path)\n"
+                    "[gone](docs/target.md#combiner-handoff-safety)\n")
+        errors = []
+        check_links(errors, root)
+    want = ["README.md: dangling anchor -> "
+            "docs/target.md#combiner-handoff-safety"]
+    if errors != want:
+        print(f"self-test FAIL: expected {want}, got {errors}",
+              file=sys.stderr)
+        return 1
+    print("check_docs self-test OK: good anchor resolves, dangling anchor "
+          "reported")
+    return 0
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     if not os.path.exists("README.md"):
         print("run from the repository root (README.md not found)",
               file=sys.stderr)
@@ -105,8 +166,8 @@ def main():
             print(e, file=sys.stderr)
         return 1
     n_files = len(markdown_files())
-    print(f"docs check OK: {n_files} markdown files, links resolve, "
-          "quickstart snippet in sync")
+    print(f"docs check OK: {n_files} markdown files, links and anchors "
+          "resolve, quickstart snippet in sync")
     return 0
 
 
