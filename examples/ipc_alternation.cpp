@@ -54,7 +54,6 @@ std::uint64_t& counter_of(std::span<std::byte> bytes) {
 RuntimeOptions shm_options() {
   RuntimeOptions opts;
   opts.control = RuntimeOptions::ControlMode::Direct;
-  opts.transport = RuntimeOptions::Transport::Shm;
   return opts;
 }
 

@@ -42,26 +42,30 @@ std::uint64_t wire_of(AccessMode m) {
 RemoteGrantSink::RemoteGrantSink(SpscRing& ring, obs::Counter& published)
     : ring_(ring), published_(published) {}
 
-void RemoteGrantSink::on_grant(Request& req) {
-  // Announcing queue's lock is held; mu_ is a leaf below it (nothing under
-  // mu_ takes any other lock), so the order queue-lock -> mu_ is safe.
-  WireMsg msg;
-  msg.arg = req.ticket;
-  msg.kind = static_cast<std::uint32_t>(MsgKind::Grant);
-  msg.slot = static_cast<std::uint32_t>(req.handle);  // peer slot id
-  msg.loc = static_cast<std::uint32_t>(req.location);
+void RemoteGrantSink::on_grants(std::span<Request* const> reqs) {
+  // Runs inside the announcing location's combining step, which holds no
+  // lock; mu_ is a leaf (nothing under it takes any other lock), so
+  // announcers of different locations serialize here and nowhere else.
   sync::LockGuard lock(mu_);
-  if (ring_.push_wait(msg, push_timeout_ns_) == sync::SharedWait::TimedOut) {
-    // A full grant ring for this long means the peer stopped draining —
-    // outstanding grants are bounded by the peer's handle count, which
-    // the Hello capacity check kept within one ring.
-    (on_failure_ ? on_failure_ : default_failure)(
-        "grant ring full for " + std::to_string(push_timeout_ns_) +
-        " ns — peer stopped draining");
-    return;
+  for (const Request* req : reqs) {
+    WireMsg msg;
+    msg.arg = req->ticket;
+    msg.kind = static_cast<std::uint32_t>(MsgKind::Grant);
+    msg.slot = static_cast<std::uint32_t>(req->handle);  // peer slot id
+    msg.loc = static_cast<std::uint32_t>(req->location);
+    if (ring_.push_wait(msg, push_timeout_ns_) ==
+        sync::SharedWait::TimedOut) {
+      // A full grant ring for this long means the peer stopped draining —
+      // outstanding grants are bounded by the peer's handle count, which
+      // the Hello capacity check kept within one ring.
+      (on_failure_ ? on_failure_ : default_failure)(
+          "grant ring full for " + std::to_string(push_timeout_ns_) +
+          " ns — peer stopped draining");
+      return;
+    }
+    published_.add(1);
+    obs::trace(obs::EventKind::RingPublish, msg.kind);
   }
-  published_.add(1);
-  obs::trace(obs::EventKind::RingPublish, msg.kind);
 }
 
 // --- OwnerEndpoint ----------------------------------------------------------
@@ -194,7 +198,7 @@ void OwnerEndpoint::handle_msg(const WireMsg& msg) {
       const auto slots = static_cast<std::uint32_t>(msg.arg);
       // One grant can be in flight per slot; keeping slots <= capacity is
       // what makes the grant ring's push_wait a liveness bound, not a
-      // deadlock (see RemoteGrantSink::on_grant).
+      // deadlock (see RemoteGrantSink::on_grants).
       ORWL_CHECK_MSG(slots > 0 && slots <= ch_.grants().capacity(),
                      "peer announced " << slots
                                        << " handle slots; ring capacity is "
@@ -403,7 +407,7 @@ void PeerEndpoint::pump() {
     // writes (carried here by the ring's release/acquire pair) to the
     // handle's acquire load; pairs with Handle::acquire / test.
     req->state.store(RequestState::Granted, std::memory_order_release);
-    rt_.route_grant(*req);
+    rt_.route_grants({&req, 1});
   }
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,9 +65,9 @@ struct EndpointOptions {
 };
 
 /// GrantSink the owner Runtime routes kRemoteOwner grants to: publishes
-/// {slot, ticket} onto the grant ring. Pushes from different location
-/// queues (different locks) are serialized by mu_ so the ring keeps a
-/// single logical producer.
+/// {slot, ticket} onto the grant ring. Announcements from different
+/// location queues (each serialized only by its own combining step) are
+/// serialized by mu_ so the ring keeps a single logical producer.
 class RemoteGrantSink final : public GrantSink {
  public:
   RemoteGrantSink(SpscRing& ring, obs::Counter& published);
@@ -79,8 +80,9 @@ class RemoteGrantSink final : public GrantSink {
   }
 
   // sink-contract: no-queue-reentry — serializes on its own leaf mutex
-  // and pushes one WireMsg into the shm ring; never touches a FifoQueue.
-  void on_grant(Request& req) override;
+  // and pushes one WireMsg per request into the shm ring; never touches a
+  // FifoQueue.
+  void on_grants(std::span<Request* const> reqs) override;
 
  private:
   SpscRing& ring_;
@@ -94,7 +96,7 @@ class RemoteGrantSink final : public GrantSink {
 /// their queues, pumps the ops ring into proxy requests, and wires the
 /// RemoteGrantSink into the runtime. Lifecycle:
 ///
-///   OwnerEndpoint ep(ch, rt);          // rt has Transport::Shm
+///   OwnerEndpoint ep(ch, rt);          // rt: any RuntimeOptions
 ///   ep.bind_location(0, loc);          // loc = rt.add_shared_location(...)
 ///   ... prime owner handles ...
 ///   ep.start();                        // pump up, state -> OwnerReady
@@ -176,7 +178,7 @@ class OwnerEndpoint {
 /// Peer-process side: reroutes handle operations onto the ops ring and
 /// pumps grant announcements back into parked handles. Lifecycle:
 ///
-///   PeerEndpoint ep(ch, rt);                    // rt has Transport::Shm
+///   PeerEndpoint ep(ch, rt);                    // rt: any RuntimeOptions
 ///   LocationId loc = ep.add_location(0);        // port installed
 ///   ... add tasks/handles on loc (prime = false) ...
 ///   ep.start();             // waits OwnerReady, says Hello, pump up

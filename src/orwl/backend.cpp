@@ -254,7 +254,7 @@ struct AccessWindow {
   int until = 0;  ///< exclusive
   LocationId location = -1;
   /// Read access. Whether its grants arrive as members of a batched
-  /// shared-read run (FifoQueue::on_grant_batch) is decided per segment
+  /// shared-read run (one GrantSink::on_grants span) is decided per segment
   /// from the OTHER reader windows actually overlapping there
   /// (apply_segment_acquires) — a phase where this is the lone active
   /// reader is granted, and charged, singly.

@@ -6,21 +6,6 @@
 
 namespace orwl {
 
-void EventQueue::post(Event ev) {
-  {
-    sync::LockGuard lock(mu_);
-    events_.push_back(ev);
-    // order: relaxed — backlog mirror for idle(); mu_ orders the writers.
-    backlog_.store(static_cast<std::uint32_t>(events_.size()),
-                   std::memory_order_relaxed);
-  }
-  // lint: allow-rmw(futex sequence bump; the wait side lives in sync/)
-  // order: release — the bump publishes the backlog entry; the consumer's
-  // acquire load in the waiter pairs with it before re-checking.
-  seq_.fetch_add(1, std::memory_order_release);
-  sync::notify_one(seq_);
-}
-
 void EventQueue::post_batch(std::span<const Event> evs) {
   if (evs.empty()) return;
   {
@@ -43,7 +28,7 @@ std::optional<Event> EventQueue::pop() {
     // post that lands after the (empty) inspection has bumped seq_ past
     // `s`, so the wait below returns immediately instead of missing the
     // wake.
-    // order: acquire — pairs with post()'s release bump; see above.
+    // order: acquire — pairs with post_batch()'s release bump; see above.
     const std::uint32_t s = seq_.load(std::memory_order_acquire);
     {
       sync::LockGuard lock(mu_);
@@ -89,8 +74,8 @@ void EventQueue::stop() {
     stopped_ = true;
   }
   // lint: allow-rmw(futex sequence bump; the wait side lives in sync/)
-  // order: release — publishes stopped_ to poppers the same way post()
-  // publishes a backlog entry.
+  // order: release — publishes stopped_ to poppers the same way
+  // post_batch() publishes a backlog entry.
   seq_.fetch_add(1, std::memory_order_release);
   sync::notify_all(seq_);
 }

@@ -7,9 +7,9 @@
 //
 // The consumer parks on an atomic sequence word through the shared sync::
 // waiter (same wait-strategy knob as every other parking point of the
-// core) instead of a condition variable: post() bumps the sequence and
-// notifies; pop() re-checks the backlog whenever the sequence moves, so a
-// post between the backlog check and the park is never missed.
+// core) instead of a condition variable: post_batch() bumps the sequence
+// and notifies; pop() re-checks the backlog whenever the sequence moves,
+// so a post between the backlog check and the park is never missed.
 
 #include <atomic>
 #include <cstdint>
@@ -39,14 +39,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Enqueue an event. Safe from any thread, including while a location
-  /// queue lock is held.
-  void post(Event ev) ORWL_EXCLUDES(mu_);
-
   /// Enqueue a batch of events with ONE lock acquisition, ONE sequence
-  /// bump and ONE wake — the posting half of the batched shared-read
-  /// grant path (a run of N readers costs one EventQueue hop, not N).
-  /// Same thread-safety contract as post(). Empty spans are a no-op.
+  /// bump and ONE wake — the posting half of the grant path (a run of N
+  /// readers costs one EventQueue hop, not N; a lone grant is a batch of
+  /// one). Safe from any thread, including from inside a location queue's
+  /// combining step (grant announcement). Empty spans are a no-op.
   void post_batch(std::span<const Event> evs) ORWL_EXCLUDES(mu_);
 
   /// Block until an event is available or stop() is called.

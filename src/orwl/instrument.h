@@ -5,12 +5,13 @@
 // to construct a weighted matrix that expresses the communication volume
 // between threads" (paper, Sec. II).
 //
-// The write paths run on the grant hot path (with a location queue lock
-// held), so there is no global instrument mutex: the grant counters are
-// cache-line-padded sharded counters (sync/sharded_counter.h) and the flow
-// matrix is striped into per-thread shards, each with its own
-// (practically uncontended) lock. Readers — reports, epoch boundaries —
-// flush by summing the shards; they are rare and off the hot path.
+// The write paths run on the grant hot path (inside a location queue's
+// combining step), so there is no global instrument mutex: the grant
+// counters are cache-line-padded sharded counters
+// (sync/sharded_counter.h) and the flow matrix is striped into per-thread
+// shards, each with its own (practically uncontended) lock. Readers —
+// reports, epoch boundaries — flush by summing the shards; they are rare
+// and off the hot path.
 
 #include <cstdint>
 

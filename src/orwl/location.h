@@ -74,8 +74,10 @@ class LocationBuffer {
   LocationId id_;
   std::string name_;
   mem::Segment storage_;
-  FifoQueue queue_;
+  // Read by every handle operation, so it sits before the queue, away
+  // from the cache lines the queue's combiner writes on every grant.
   RequestPort* port_ = &queue_;
+  FifoQueue queue_;
   std::atomic<TaskId> last_writer_{-1};
 };
 

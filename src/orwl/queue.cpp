@@ -14,9 +14,8 @@ namespace {
 /// lock-free livelock.
 thread_local const FifoQueue* tl_announcing = nullptr;
 
-/// RAII marker for the announcement window (single grant or batch) so a
-/// throwing sink — or the re-entrancy assert itself — cannot leave the
-/// thread-local marker stale.
+/// RAII marker for the announcement window so a throwing sink — or the
+/// re-entrancy assert itself — cannot leave the thread-local marker stale.
 struct AnnounceScope {
   const FifoQueue* prev;
   explicit AnnounceScope(const FifoQueue* q) : prev(tl_announcing) {
@@ -77,10 +76,9 @@ void FifoQueue::ensure_capacity(std::size_t want) {
   }
   slots_ = std::move(fresh);
   mask_ = fresh_cap - 1;
-  // Read-run scratch sized to the ring: a grant run can never exceed
+  // Announcement buffer sized to the ring: a grant run can never exceed
   // capacity, so the combiner's collection loop never allocates.
-  batch_slots_.reserve(fresh_cap);
-  batch_reqs_.reserve(fresh_cap);
+  run_ = std::make_unique<Request*[]>(fresh_cap);
 }
 
 void FifoQueue::reserve_owners(std::size_t n) {
@@ -219,15 +217,11 @@ void FifoQueue::advance() {
   // Phase 2 — grant frontier: head Write alone, or the maximal head run
   // of Reads (skipping already-released ones — an out-of-order reader
   // release must not shrink the run). Announcements happen inside the
-  // combiner, so they are globally serialized and strictly
+  // combiner, so they are serialized per location and strictly
   // ticket-monotone: identical to a single-threaded replay.
   // order: relaxed — combiner-private (see above).
   Ticket granted = granted_.load(std::memory_order_relaxed);
-  // A sink that threw out of an earlier announcement left its collected
-  // run here; those tickets are already past granted_ (at-most-once), so
-  // the stale run is dropped, never re-announced.
-  batch_slots_.clear();
-  Ticket run_last = 0;  // last collected ticket (the only one read)
+  std::size_t n = 0;  // requests collected into run_[0, n)
   for (Ticket i = head;; ++i) {
     Slot& s = slots_[i & mask_];
     // order: acquire — publication guard, as in phase 1. A not-yet-
@@ -236,100 +230,64 @@ void FifoQueue::advance() {
     // order: acquire — a concurrent release may land mid-scan; skip the
     // slot (it was a granted read) and keep extending the run.
     if (s.released.load(std::memory_order_acquire)) continue;
-    if (s.mode == AccessMode::Write) {
-      // A write is granted only alone at the head; if it is not at the
-      // head yet, the pending release in front will re-trigger us. A write
-      // can only sit at the head, so no collected reads precede it here.
-      if (i != head) break;
-      if (i >= granted) {
-        grant_one(s, i);
-        granted = i + 1;
-      }
-      break;  // exclusive: nothing behind a write can be granted
-    }
+    // A write is granted only alone at the head; if it is not at the head
+    // yet, the pending release in front will re-trigger us. A write can
+    // only sit at the head, so no collected reads precede it.
+    const bool write = s.mode == AccessMode::Write;
+    if (write && i != head) break;
     if (i >= granted) {
-      if (batch_grants_) {
-        // Collect the read run; announced as ONE batch after the scan.
-        batch_slots_.push_back(&s);
-        run_last = i;
-      } else {
-        grant_one(s, i);
-      }
+      // order: relaxed — the slot's seq acquire load above guards it.
+      run_[n++] = s.req.load(std::memory_order_relaxed);
       granted = i + 1;
+      if (!batch_grants_) {  // each grant its own span of one
+        announce(n, granted);
+        n = 0;
+      }
     }
+    if (write) break;  // exclusive: nothing behind a write can be granted
   }
-  if (batch_slots_.size() == 1)
-    grant_one(*batch_slots_.front(), run_last);  // run of one: per-grant
-  else if (!batch_slots_.empty())
-    grant_run(run_last);
+  if (n > 0) announce(n, granted);
 }
 
-void FifoQueue::grant_run(Ticket t_last) {
+void FifoQueue::announce(std::size_t n, Ticket end) {
+  // advance() collects from the frontier on without gaps — a ticket past
+  // granted_ was never granted, so it cannot be released and skipped — so
+  // the members hold the consecutive tickets [end - n, end).
+  const std::span<Request* const> reqs(run_.get(), n);
+  ORWL_ASSERT_MSG(reqs.back()->ticket + 1 == end,
+                  "announced run is not the ticket range past the frontier");
   // order: relaxed — combiner-private frontier; the WHOLE run is persisted
   // BEFORE the sink call so a throwing sink cannot cause a second
   // announcement of any of its tickets (at-most-once contract).
-  granted_.store(t_last + 1, std::memory_order_relaxed);
-  batch_reqs_.clear();
-  for (Slot* s : batch_slots_) {
-    // order: relaxed — the slot's seq acquire load (advance) already
-    // guards this field.
-    Request& r = *s->req.load(std::memory_order_relaxed);
-    batch_reqs_.push_back(&r);
+  granted_.store(end, std::memory_order_relaxed);
+  for (Request* r : reqs)
     // order: release — publishes the previous holder's buffer writes to
-    // the grantee, exactly as in grant_one.
-    r.state.store(RequestState::Granted, std::memory_order_release);
-  }
+    // the grantee: releaser's released store (release) → combiner's
+    // acquire → this store → grantee's acquire load in Handle::acquire.
+    r->state.store(RequestState::Granted, std::memory_order_release);
 
 #if ORWL_PROTOCOL_ASSERTS_ENABLED
   AnnounceScope announce_scope(this);
 #endif
-  // RAII: every slot's announced flag must be set even when the sink
-  // throws, or the owners' releases would spin forever. Owners of EARLY
-  // requests in the run may observe Granted (spinning waiters) and
-  // release while the batch announcement is still in flight; their
-  // mark_released spins on this flag, so the queue-side Request
-  // references stay valid for the whole sink call — the same protocol as
-  // a single grant, with a longer window.
-  struct BatchAnnouncedGuard {
-    std::vector<Slot*>& slots;
-    ~BatchAnnouncedGuard() {
-      for (Slot* s : slots)
+  // RAII: every member's announced flag must be set even when the sink
+  // throws, or the owners' releases would spin forever. An owner may see
+  // Granted (spinning waiter) and release while the announcement is still
+  // in flight; its mark_released spins on this flag, so the Request
+  // references stay valid for the whole sink call. The slots come from
+  // the ticket range, not from the Requests: a woken owner may already be
+  // writing next to its Request, and once the flag is set it may reuse it.
+  struct AnnouncedGuard {
+    Slot* slots;
+    std::size_t mask;
+    Ticket first, end;
+    ~AnnouncedGuard() {
+      for (Ticket t = first; t != end; ++t)
         // order: release — pairs with the releaser's announced acquire
         // spin; orders the sink's last use of the Request before reuse.
-        s->announced.store(true, std::memory_order_release);
+        slots[t & mask].announced.store(true, std::memory_order_release);
     }
-  } announced_guard{batch_slots_};
-  sink_->on_grant_batch({batch_reqs_.data(), batch_reqs_.size()});
-}
-
-void FifoQueue::grant_one(Slot& s, Ticket t) {
-  // order: relaxed — combiner-private frontier; persisted BEFORE the sink
-  // call so a throwing sink cannot cause a second announcement of this
-  // ticket (at-most-once announcement contract).
-  granted_.store(t + 1, std::memory_order_relaxed);
-  // order: relaxed — the slot's seq acquire load (advance) already
-  // guards this field.
-  Request& r = *s.req.load(std::memory_order_relaxed);
-  // order: release — publishes the previous holder's buffer writes to the
-  // grantee: releaser's released store (release) → combiner's acquire →
-  // this store → grantee's acquire load in Handle::acquire.
-  r.state.store(RequestState::Granted, std::memory_order_release);
-
-#if ORWL_PROTOCOL_ASSERTS_ENABLED
-  AnnounceScope announce_scope(this);
-#endif
-  // RAII: the announced flag must be set even when the sink throws, or
-  // the owner's release would spin forever on a wedged announcement.
-  struct AnnouncedGuard {
-    Slot& slot;
-    ~AnnouncedGuard() {
-      // order: release — pairs with the releaser's announced acquire
-      // spin; orders the sink's (and our) last use of the Request before
-      // the owner reuses it.
-      slot.announced.store(true, std::memory_order_release);
-    }
-  } announced_guard{s};
-  sink_->on_grant(r);
+  } announced_guard{slots_.get(), mask_, end - n, end};
+  sink_->on_grants(reqs);
 }
 
 std::size_t FifoQueue::size() const {

@@ -92,45 +92,38 @@ struct Request {
   }
 };
 
-/// Grant announcement target, invoked (from inside the combining step, so
-/// announcements are serialized) for every newly granted request.
-/// Implementations must be non-blocking and must not re-enter the
-/// announcing queue — ORWL_ASSERT fires on re-entry, in release builds
-/// too. Every on_grant override must carry the
-/// `sink-contract: no-queue-reentry` comment (enforced by
+/// Grant announcement target. Every advance of a location's grant
+/// frontier is announced through ONE on_grants call carrying the newly
+/// granted requests in ticket order: a write alone, a lone reader, or a
+/// run of concurrent readers. Every request is already Granted when the
+/// call is made. Announcements are serialized
+/// per location inside the combining step; no lock is held. Sinks must be
+/// non-blocking and must not re-enter the announcing queue — ORWL_ASSERT
+/// fires on re-entry, in release builds too. Every on_grants override
+/// must carry the `sink-contract: no-queue-reentry` comment (enforced by
 /// tools/orwl_lint.py) as an explicit acknowledgement of that contract.
 /// An intrusive interface (the Runtime *is* the sink) instead of a
 /// std::function, so announcing a grant allocates nothing.
 class GrantSink {
  public:
-  virtual void on_grant(Request& req) = 0;
-
-  /// Batched announcement: a run of concurrent READ grants (>= 2, ticket
-  /// order) announced through ONE virtual call, so N readers cost one
-  /// dispatch — and a routing sink can push one event / coalesce wakes
-  /// instead of paying N hops. Same contract as on_grant (serialized
-  /// inside the combining step, non-blocking, no queue re-entry; every
-  /// request is already Granted when the call is made). The default
-  /// replays the batch through on_grant one by one, so sinks that never
-  /// opted in observe the exact per-grant sequence they always did.
-  // sink-contract: no-queue-reentry — inherits on_grant's obligation.
-  virtual void on_grant_batch(std::span<Request* const> reqs) {
-    for (Request* r : reqs) on_grant(*r);
-  }
+  virtual void on_grants(std::span<Request* const> reqs) = 0;
 
  protected:
   ~GrantSink() = default;
 };
 
-/// Adapter wrapping a callable as a GrantSink (tests and benches; the
-/// callable is stored inline, so announcement stays allocation-free).
+/// Adapter wrapping a per-request callable as a GrantSink (tests and
+/// benches; the callable is stored inline, so announcement stays
+/// allocation-free).
 template <class F>
 class GrantFn final : public GrantSink {
  public:
   explicit GrantFn(F fn) : fn_(std::move(fn)) {}
   // sink-contract: no-queue-reentry — forwards to the wrapped callable,
   // which inherits the obligation not to call back into the queue.
-  void on_grant(Request& req) override { fn_(req); }
+  void on_grants(std::span<Request* const> reqs) override {
+    for (Request* r : reqs) fn_(*r);
+  }
 
  private:
   F fn_;
@@ -210,10 +203,11 @@ class FifoQueue : public RequestPort {
   /// Current ring capacity (insert backpressure threshold).
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
 
-  /// Batched shared-read announcement (on by default): a head run of >= 2
-  /// concurrent readers is announced through one on_grant_batch call
-  /// instead of per-request on_grant calls. Quiescent setup only (the
-  /// runtime applies RuntimeOptions::batch_grants; benches A/B it).
+  /// Batched shared-read announcement (on by default): a head run of
+  /// concurrent readers is announced through one on_grants call. Off, each
+  /// newly granted request is announced as its own span of one.
+  /// Quiescent setup only (the runtime applies RuntimeOptions::
+  /// batch_grants; benches A/B it).
   void set_batch_grants(bool on) { batch_grants_ = on; }
 
  private:
@@ -237,11 +231,10 @@ class FifoQueue : public RequestPort {
   void mark_released(Request& req);  ///< contract checks + released flag
   void combine();                  ///< announce work, maybe run advance()
   void advance();                  ///< combiner body: reclaim + grant
-  void grant_one(Slot& s, Ticket t);  ///< store Granted + announce once
-  /// Store Granted on a collected read run (>= 2, ticket order, last
-  /// ticket `t_last`) and announce it through ONE on_grant_batch call.
-  /// Uses the batch_* scratch members (combiner-private).
-  void grant_run(Ticket t_last);
+  /// Store Granted on run_[0, n) — the requests holding tickets
+  /// [end - n, end), collected by advance() — and announce them through
+  /// ONE on_grants call.
+  void announce(std::size_t n, Ticket end);
   /// Protocol assert: the grant sink must not call back in.
   void check_not_reentered() const;
 
@@ -263,14 +256,12 @@ class FifoQueue : public RequestPort {
   GrantSink* sink_;
 
   bool batch_grants_ = true;
-  /// Read-run scratch, combiner-private (only touched while holding the
-  /// combiner role): the collected run's slots and the requests handed to
-  /// on_grant_batch. Reserved to ring capacity by ensure_capacity, so the
-  /// steady-state grant path never allocates. advance() empties
-  /// batch_slots_ before collecting, so a run left behind by a throwing
-  /// sink is dropped rather than re-announced.
-  std::vector<Slot*> batch_slots_;
-  std::vector<Request*> batch_reqs_;
+  /// Where advance() collects the requests of one announcement,
+  /// combiner-private (only touched while holding the combiner role). Ring
+  /// capacity long (ensure_capacity), so the grant path never allocates.
+  /// The count is local to advance(), so a run that a throwing sink left
+  /// here is never announced again.
+  std::unique_ptr<Request*[]> run_;
 };
 
 }  // namespace orwl

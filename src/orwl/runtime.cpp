@@ -46,8 +46,6 @@ LocationId Runtime::add_location(std::size_t bytes, std::string name) {
 LocationId Runtime::add_shared_location(std::span<std::byte> bytes,
                                         std::string name) {
   ORWL_CHECK_MSG(!ran_, "cannot add locations after run()");
-  ORWL_CHECK_MSG(opts_.transport == RuntimeOptions::Transport::Shm,
-                 "shared locations need Transport::Shm");
   const LocationId id = static_cast<LocationId>(locations_.size());
   if (name.empty()) name = "shloc" + std::to_string(id);
   locations_.push_back(std::make_unique<LocationBuffer>(
@@ -59,8 +57,6 @@ LocationId Runtime::add_shared_location(std::span<std::byte> bytes,
 
 void Runtime::set_location_port(LocationId loc, RequestPort* port) {
   ORWL_CHECK_MSG(!ran_, "cannot reroute a location after run()");
-  ORWL_CHECK_MSG(opts_.transport == RuntimeOptions::Transport::Shm,
-                 "location ports need Transport::Shm");
   ORWL_CHECK_MSG(loc >= 0 && loc < num_locations(), "unknown location " << loc);
   ORWL_CHECK_MSG(port != nullptr, "location port must not be null");
   locations_[static_cast<std::size_t>(loc)]->set_port(port);
@@ -72,8 +68,6 @@ FifoQueue& Runtime::location_queue(LocationId loc) {
 }
 
 void Runtime::set_remote_sink(GrantSink* sink) {
-  ORWL_CHECK_MSG(opts_.transport == RuntimeOptions::Transport::Shm,
-                 "a remote sink needs Transport::Shm");
   remote_sink_ = sink;
 }
 
@@ -326,103 +320,43 @@ std::size_t Runtime::location_size(LocationId loc) const {
   return locations_[static_cast<std::size_t>(loc)]->size();
 }
 
-void Runtime::on_grant(Request& req) {
-  // Called with the location queue lock held — keep it lean. The trace
-  // hook is one relaxed flag load when tracing is off.
-  obs::trace(obs::EventKind::Grant, static_cast<std::uint64_t>(req.handle));
-  stats_.record_grant(req.mode);
-  LocationBuffer& loc = *locations_[static_cast<std::size_t>(req.location)];
-  if (req.owner == kRemoteOwner) {
-    // Proxied peer request: the owner is not a local task, so neither the
-    // task table nor the flow shards may be indexed with it — hand the
-    // grant to the transport sink, which publishes it into the shm ring.
-    if (req.mode == AccessMode::Write) loc.set_last_writer(kRemoteOwner);
-    ORWL_ASSERT_MSG(remote_sink_ != nullptr,
-                    "remote-owned grant with no remote sink installed");
-    remote_sink_->on_grant(req);
-    return;
-  }
-  // Reads consume the last writer's bytes; a write-after-write moves
-  // ownership of the buffer — either way the flow edge is the same.
-  // (record_flow ignores negative producers, so a remote last writer
-  // simply drops the edge — cross-process flows are the transport's
-  // metrics, not this Instrument's.)
-  if (opts_.record_flows)
-    stats_.record_flow(loc.last_writer(), req.owner, loc.size());
-  if (req.mode == AccessMode::Write) loc.set_last_writer(req.owner);
-  route_grant(req);
-}
-
-void Runtime::route_grant(Request& req) {
-  // Inline idle delivery (RuntimeOptions::inline_idle_delivery): an empty
-  // control backlog means there is nothing to batch, so the hop through
-  // the control thread would only add wake latency — deliver here. The
-  // idle() probe is advisory; a stale answer is safe either way because
-  // delivery is a notify (idempotent, the waiter re-checks state).
-  switch (opts_.control) {
-    case RuntimeOptions::ControlMode::Direct:
-      Handle::deliver_grant(req);
-      break;
-    case RuntimeOptions::ControlMode::PerTask: {
-      EventQueue& q = *tasks_[static_cast<std::size_t>(req.owner)].events;
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
-    case RuntimeOptions::ControlMode::SharedPool: {
-      EventQueue& q = *shared_queues_[static_cast<std::size_t>(req.owner) %
-                                      shared_queues_.size()];
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
-  }
-}
-
-void Runtime::on_grant_batch(std::span<Request* const> reqs) {
-  // A whole shared-read run in one announcement. The per-request
-  // bookkeeping below is exactly on_grant's; the batch buys one virtual
-  // dispatch for the run plus the grouped routing at the end (one event
-  // post and one wake per destination queue instead of one per reader).
-  obs::trace(obs::EventKind::GrantBatch, reqs.size());
-  // Scratch is thread-local, not a member: combiners of DIFFERENT
-  // locations may announce concurrently, and one thread never nests
-  // announcements (sinks must not re-enter queues). Steady-state the
-  // vector is warm — no allocation on the grant path.
-  thread_local std::vector<Request*> local;
-  local.clear();
+void Runtime::on_grants(std::span<Request* const> reqs) {
+  // Runs inside the announcing location's combining step — keep it lean.
+  // The trace hooks are one relaxed flag load each when tracing is off.
+  if (reqs.size() >= 2) obs::trace(obs::EventKind::GrantBatch, reqs.size());
   for (Request* req : reqs) {
     obs::trace(obs::EventKind::Grant, static_cast<std::uint64_t>(req->handle));
     stats_.record_grant(req->mode);
     LocationBuffer& loc =
         *locations_[static_cast<std::size_t>(req->location)];
     if (req->owner == kRemoteOwner) {
-      // Proxied peer request (see on_grant): not a local task, so it must
-      // not reach the task table or flow shards — the transport publishes
-      // it into the shm ring. Batches are read runs, but keep the
-      // last-writer discipline symmetric with on_grant anyway.
+      // Proxied peer request: the owner is not a local task, so neither
+      // the task table nor the flow shards may be indexed with it — hand
+      // the grant to the transport sink, which publishes it into the shm
+      // ring (route_grants skips it).
       if (req->mode == AccessMode::Write) loc.set_last_writer(kRemoteOwner);
       ORWL_ASSERT_MSG(remote_sink_ != nullptr,
                       "remote-owned grant with no remote sink installed");
-      remote_sink_->on_grant(*req);
+      remote_sink_->on_grants({&req, 1});
       continue;
     }
+    // Reads consume the last writer's bytes; a write-after-write moves
+    // ownership of the buffer — either way the flow edge is the same.
+    // (record_flow ignores negative producers, so a remote last writer
+    // simply drops the edge — cross-process flows are the transport's
+    // metrics, not this Instrument's.)
     if (opts_.record_flows)
       stats_.record_flow(loc.last_writer(), req->owner, loc.size());
     if (req->mode == AccessMode::Write) loc.set_last_writer(req->owner);
-    local.push_back(req);
   }
-  route_grant_batch({local.data(), local.size()});
+  route_grants(reqs);
 }
 
-void Runtime::route_grant_batch(std::span<Request* const> reqs) {
-  if (reqs.empty()) return;
+void Runtime::route_grants(std::span<Request* const> reqs) {
+  const auto local = [](const Request* r) { return r->owner != kRemoteOwner; };
   if (opts_.control == RuntimeOptions::ControlMode::Direct) {
-    for (Request* r : reqs) Handle::deliver_grant(*r);
+    for (Request* r : reqs)
+      if (local(r)) Handle::deliver_grant(*r);
     return;
   }
   const auto queue_of = [this](const Request* r) -> EventQueue& {
@@ -432,31 +366,36 @@ void Runtime::route_grant_batch(std::span<Request* const> reqs) {
                            shared_queues_.size()];
   };
   // Group by destination queue with the same tiny-quadratic scan as
-  // deliver_batch (runs are bounded by the location's reader count). Each
-  // group goes through ONE post_batch — one lock round-trip and one wake
-  // for the whole run — unless the queue is idle, in which case the
-  // announcer delivers inline: every waiter needs its own notify no matter
-  // who issues it, so the control-thread hop would only add latency (the
-  // same reasoning as route_grant's single-grant short-cut).
+  // deliver_batch (spans are bounded by the location's reader count).
+  // Each group goes through ONE post_batch — one lock round-trip and one
+  // wake for the whole group — unless the queue is idle
+  // (RuntimeOptions::inline_idle_delivery): an empty backlog means there
+  // is nothing to batch, so the control-thread hop would only add wake
+  // latency and the announcer delivers inline. The idle() probe is
+  // advisory; a stale answer is safe either way because delivery is a
+  // notify (idempotent, the waiter re-checks state).
+  // Scratch is thread-local, not a member: combiners of DIFFERENT
+  // locations may announce concurrently, and one thread never nests
+  // announcements. Steady-state the vector is warm — no allocation.
   thread_local std::vector<Event> events;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (!local(reqs[i])) continue;
     EventQueue& q = queue_of(reqs[i]);
+    const auto in_group = [&](std::size_t j) {
+      return local(reqs[j]) && &queue_of(reqs[j]) == &q;
+    };
     bool grouped = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (&queue_of(reqs[j]) == &q) {
-        grouped = true;
-        break;
-      }
-    }
+    for (std::size_t j = 0; j < i && !grouped; ++j) grouped = in_group(j);
     if (grouped) continue;
+    if (opts_.inline_idle_delivery && q.idle()) {
+      for (std::size_t j = i; j < reqs.size(); ++j)
+        if (in_group(j)) Handle::deliver_grant(*reqs[j]);
+      continue;
+    }
     events.clear();
     for (std::size_t j = i; j < reqs.size(); ++j)
-      if (&queue_of(reqs[j]) == &q) events.push_back({reqs[j]});
-    if (opts_.inline_idle_delivery && q.idle()) {
-      for (const Event& ev : events) Handle::deliver_grant(*ev.request);
-    } else {
-      q.post_batch({events.data(), events.size()});
-    }
+      if (in_group(j)) events.push_back({reqs[j]});
+    q.post_batch({events.data(), events.size()});
   }
 }
 

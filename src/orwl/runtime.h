@@ -85,12 +85,12 @@ struct RuntimeOptions {
   /// ControlMode::Direct (delivery is already inline).
   bool inline_idle_delivery = true;
 
-  /// Batched shared-read grants: a head run of >= 2 concurrent readers is
-  /// announced through ONE GrantSink::on_grant_batch call and routed with
-  /// one event post (one lock round-trip, one wake) per destination
-  /// control queue, instead of a virtual call + queue hop per reader. Off
-  /// reproduces the per-grant announcement sequence exactly (benches A/B
-  /// the two; delivery order within a run is unchanged either way).
+  /// Batched shared-read grants: a head run of concurrent readers is
+  /// announced through ONE GrantSink::on_grants call and routed with one
+  /// event post (one lock round-trip, one wake) per destination control
+  /// queue, instead of one announcement + queue hop per reader. Off, every
+  /// grant is announced as its own span of one (benches A/B the two;
+  /// delivery order within a run is unchanged either way).
   bool batch_grants = true;
 
   /// How every parking point of this runtime waits (handle grant waits,
@@ -103,15 +103,6 @@ struct RuntimeOptions {
   /// planned writers' nodes / interleaves across nodes. Falls back to the
   /// heap on hosts without the NUMA syscalls.
   mem::MemoryPolicy memory = mem::MemoryPolicy::Heap;
-
-  /// How this runtime reaches its peers (cross-address-space ORWL).
-  /// Inproc: every task lives in this process (the default; nothing
-  /// changes). Shm: some locations live in a shared mapping and an ipc::
-  /// endpoint (OwnerEndpoint or PeerEndpoint) is wired onto this runtime —
-  /// the option is carried through RuntimeBackend so programs select the
-  /// transport the same way they select control/memory policy.
-  enum class Transport : std::uint8_t { Inproc, Shm };
-  Transport transport = Transport::Inproc;
 };
 
 /// The Runtime itself is the GrantSink of every location FIFO: a grant
@@ -139,18 +130,18 @@ class Runtime : private GrantSink {
   HandleId add_handle(TaskId task, LocationId location, AccessMode mode,
                       bool prime = true);
 
-  // --- cross-address-space locations (RuntimeOptions::transport) ----------
+  // --- cross-address-space locations (ipc:: shm endpoints) ----------------
 
   /// Create a location whose bytes live in memory owned elsewhere — a
   /// window into an ipc:: shared segment. The mapping must outlive the
   /// runtime; the FIFO (and grant arbitration) still live here, in the
-  /// process that calls this. Requires Transport::Shm.
+  /// process that calls this (the ipc:: owner endpoint's side).
   LocationId add_shared_location(std::span<std::byte> bytes,
                                  std::string name = {});
 
   /// Redirect a location's handle operations to `port` (peer side of the
   /// shm transport: operations are forwarded to the hosting process).
-  /// Single-threaded setup only, before run(). Requires Transport::Shm.
+  /// Single-threaded setup only, before run().
   void set_location_port(LocationId loc, RequestPort* port);
 
   /// The location's local FIFO (the ipc:: owner endpoint inserts proxied
@@ -160,14 +151,17 @@ class Runtime : private GrantSink {
   /// Sink that receives grants whose request is owned by a remote peer
   /// (Request::owner == kRemoteOwner) instead of a local task — the
   /// ipc::RemoteGrantSink publishing into the shm ring. Non-owning; must
-  /// outlive run(). Requires Transport::Shm.
+  /// outlive run().
   void set_remote_sink(GrantSink* sink);
 
-  /// Deliver one granted request to its local waiter per this runtime's
-  /// ControlMode (the delivery half of on_grant, minus stats). Used by the
-  /// ipc:: peer pump to hand ring grants to parked handles; `req.owner`
-  /// must be a local task.
-  void route_grant(Request& req);
+  /// Deliver granted requests to their local waiters per this runtime's
+  /// ControlMode — the delivery half of on_grants, minus bookkeeping.
+  /// Remote-owned requests are skipped (on_grants hands them to the
+  /// remote sink). Posts at most one event batch per destination control
+  /// queue, or delivers inline when that queue is idle. The ipc:: peer
+  /// pump calls it with a span of one to hand ring grants to parked
+  /// handles. Safe across concurrent announcers (thread-local scratch).
+  void route_grants(std::span<Request* const> reqs);
 
   // --- placement hooks ---------------------------------------------------
 
@@ -290,21 +284,14 @@ class Runtime : private GrantSink {
     std::unique_ptr<EventQueue> events;
   };
 
-  /// GrantSink: called by a location FIFO (its lock held) for every newly
-  /// granted request — records stats and routes delivery per ControlMode.
+  /// GrantSink: called by a location FIFO for every advance of its grant
+  /// frontier (a write alone, a lone reader or a reader run), serialized
+  /// per location inside the combining step with no lock held. Records
+  /// grant, flow and last-writer stats per request, hands remote-owned
+  /// requests to the remote sink, then routes the rest (route_grants).
   // sink-contract: no-queue-reentry — only posts to event queues / notifies
-  // the waiter; never calls back into the announcing FifoQueue.
-  void on_grant(Request& req) override;
-  /// GrantSink: one announcement for a whole shared-read run. Bookkeeping
-  /// is per request (identical to on_grant); routing is grouped so each
-  /// destination control queue is hit once per run.
-  // sink-contract: no-queue-reentry — same as on_grant; only posts to
-  // event queues / notifies waiters, never re-enters the announcing queue.
-  void on_grant_batch(std::span<Request* const> reqs) override;
-  /// Deliver a batch of LOCAL granted requests per ControlMode, posting at
-  /// most one event batch per destination queue. Serialized per location
-  /// by the combiner; safe across locations (thread-local scratch only).
-  void route_grant_batch(std::span<Request* const> reqs);
+  // waiters; never calls back into the announcing FifoQueue.
+  void on_grants(std::span<Request* const> reqs) override;
   /// Re-derive every Auto handle's spin budget from its wait-round
   /// histogram's last-epoch window (epoch-boundary context: compute
   /// threads parked, so the snapshots are exact). No-op unless

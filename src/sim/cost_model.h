@@ -48,8 +48,8 @@ struct LinkCost {
   /// Cost of granting one lock request through a well-placed control path.
   double grant_overhead = 2e-6;
   /// Per-grant cost of an acquisition announced as part of a batched
-  /// shared-read run (FifoQueue::on_grant_batch: one dispatch + one event
-  /// post amortized over the run). DEFAULTS EQUAL to grant_overhead, so
+  /// shared-read run (one GrantSink::on_grants span: one dispatch + one
+  /// event post amortized over the run). DEFAULTS EQUAL to grant_overhead, so
   /// the simulator charges exactly the pre-batching arithmetic — recorded
   /// results stay bit-identical — until a host calibration record
   /// (sim/calibration.h, env ORWL_CALIBRATION) supplies a measured value.

@@ -33,7 +33,7 @@ struct SimThread {
   double mem_bytes = 0.0;    ///< working set streamed per iteration
   int acquires = 0;          ///< ORWL lock acquisitions per iteration
   /// How many of `acquires` arrive as members of a batched shared-read
-  /// run (FifoQueue::on_grant_batch) — reads on locations with multiple
+  /// run (one GrantSink::on_grants span) — reads on locations with multiple
   /// concurrent readers. Charged grant_batch_overhead instead of
   /// grant_overhead, which only differs when a host calibration record is
   /// active (LinkCost::grant_batch_overhead); 0 changes nothing.

@@ -12,6 +12,12 @@
 namespace orwl {
 namespace {
 
+/// Post one event, the way the runtime posts a lone grant.
+void post(EventQueue& q, Request* r) {
+  const Event ev{r};
+  q.post_batch({&ev, 1});
+}
+
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
   EXPECT_EQ(q.pending(), 0u);
@@ -20,7 +26,7 @@ TEST(EventQueue, StartsEmpty) {
 TEST(EventQueue, PostThenPop) {
   EventQueue q;
   Request r;
-  q.post({&r});
+  post(q, &r);
   EXPECT_EQ(q.pending(), 1u);
   const auto ev = q.pop();
   ASSERT_TRUE(ev.has_value());
@@ -31,7 +37,7 @@ TEST(EventQueue, PostThenPop) {
 TEST(EventQueue, FifoOrder) {
   EventQueue q;
   Request r[3];
-  for (auto& x : r) q.post({&x});
+  for (auto& x : r) post(q, &x);
   EXPECT_EQ(q.pop()->request, &r[0]);
   EXPECT_EQ(q.pop()->request, &r[1]);
   EXPECT_EQ(q.pop()->request, &r[2]);
@@ -55,8 +61,8 @@ TEST(EventQueue, StopUnblocksPopper) {
 TEST(EventQueue, DrainsBacklogAfterStop) {
   EventQueue q;
   Request r[2];
-  q.post({&r[0]});
-  q.post({&r[1]});
+  post(q, &r[0]);
+  post(q, &r[1]);
   q.stop();
   EXPECT_EQ(q.pop()->request, &r[0]);
   EXPECT_EQ(q.pop()->request, &r[1]);
@@ -69,14 +75,14 @@ TEST(EventQueue, PostAfterStopStillDelivered) {
   EventQueue q;
   q.stop();
   Request r;
-  q.post({&r});
+  post(q, &r);
   EXPECT_EQ(q.pop()->request, &r);
 }
 
 TEST(EventQueue, PopAllDrainsTheWholeBacklogInOnePass) {
   EventQueue q;
   Request r[4];
-  for (auto& x : r) q.post({&x});
+  for (auto& x : r) post(q, &x);
   std::vector<Event> batch;
   ASSERT_TRUE(q.pop_all(batch));
   ASSERT_EQ(batch.size(), 4u);
@@ -84,7 +90,7 @@ TEST(EventQueue, PopAllDrainsTheWholeBacklogInOnePass) {
     EXPECT_EQ(batch[static_cast<std::size_t>(i)].request, &r[i]);
   EXPECT_EQ(q.pending(), 0u);
   // Appends rather than clears: the caller owns the buffer lifecycle.
-  q.post({&r[1]});
+  post(q, &r[1]);
   ASSERT_TRUE(q.pop_all(batch));
   EXPECT_EQ(batch.size(), 5u);
 }
@@ -102,7 +108,7 @@ TEST(EventQueue, PopAllBlocksThenReturnsFalseOnceStoppedAndDrained) {
     EXPECT_TRUE(batch.empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.post({&r});
+  post(q, &r);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.stop();
   consumer.join();
@@ -118,7 +124,7 @@ TEST(EventQueue, ManyProducersOneBatchedConsumer) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i)
-        q.post({&reqs[static_cast<std::size_t>(p * kPerProducer + i)]});
+        post(q, &reqs[static_cast<std::size_t>(p * kPerProducer + i)]);
     });
   }
   std::atomic<int> received{0};
@@ -145,7 +151,7 @@ TEST(EventQueue, ManyProducersOneConsumer) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i)
-        q.post({&reqs[static_cast<std::size_t>(p * kPerProducer + i)]});
+        post(q, &reqs[static_cast<std::size_t>(p * kPerProducer + i)]);
     });
   }
   int received = 0;

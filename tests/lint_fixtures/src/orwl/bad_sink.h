@@ -1,5 +1,5 @@
 #pragma once
-// Fixture: an on_grant override with no sink-contract comment anywhere in
+// Fixture: an on_grants override with no sink-contract comment anywhere in
 // the preceding window. Must trip [sink-contract].
 
 #include "orwl/queue.h"
@@ -8,7 +8,7 @@ namespace orwl::lintfix {
 
 class SilentSink final : public GrantSink {
  public:
-  void on_grant(Request& req) override { (void)req; }
+  void on_grants(std::span<Request* const> reqs) override { (void)reqs; }
 };
 
 }  // namespace orwl::lintfix

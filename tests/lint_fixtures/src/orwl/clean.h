@@ -11,7 +11,9 @@ namespace orwl::lintfix {
 // sink-contract: no-queue-reentry — records and returns.
 class QuietSink final : public GrantSink {
  public:
-  void on_grant(Request& req) override { last = req.ticket; }
+  void on_grants(std::span<Request* const> reqs) override {
+    last = reqs.back()->ticket;
+  }
   Ticket last = 0;
 };
 

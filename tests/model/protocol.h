@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,9 +45,11 @@ namespace orwl::model {
 // back into the queue either).
 class RecordingSink final : public GrantSink {
  public:
-  void on_grant(Request& req) override {
-    grants.push_back(req.ticket);
-    if (forward) forward(req);
+  void on_grants(std::span<Request* const> reqs) override {
+    for (const Request* req : reqs) {
+      grants.push_back(req->ticket);
+      if (forward) forward(*req);
+    }
   }
   std::vector<Ticket> grants;  ///< announcement order
   /// Remote world: mirrors ipc::RemoteGrantSink — grants whose request is

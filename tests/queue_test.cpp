@@ -287,55 +287,49 @@ TEST_F(QueueTest, EnsureCapacityBelowCurrentIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched shared-read announcement (on_grant_batch)
+// Batched shared-read announcement (one on_grants span per frontier advance)
 // ---------------------------------------------------------------------------
 
-/// Sink that records batch boundaries: singles through on_grant, runs
-/// through on_grant_batch, and the flattened announcement order of both.
-struct BatchRecordingSink final : GrantSink {
-  // sink-contract: no-queue-reentry — records the pointer and returns.
-  void on_grant(Request& req) override {
-    singles.push_back(&req);
-    order.push_back(&req);
+/// Sink that records every announcement as its own span, plus the
+/// flattened announcement order.
+struct SpanRecordingSink final : GrantSink {
+  // sink-contract: no-queue-reentry — records the span and returns.
+  void on_grants(std::span<Request* const> reqs) override {
+    calls.emplace_back(reqs.begin(), reqs.end());
+    order.insert(order.end(), reqs.begin(), reqs.end());
   }
-  // sink-contract: no-queue-reentry — records the run and returns.
-  void on_grant_batch(std::span<Request* const> reqs) override {
-    batches.emplace_back(reqs.begin(), reqs.end());
-    for (Request* r : reqs) order.push_back(r);
-  }
-  std::vector<Request*> singles;
-  std::vector<std::vector<Request*>> batches;
+  std::vector<std::vector<Request*>> calls;  ///< one entry per on_grants
   std::vector<Request*> order;  ///< every grant, in announcement order
 };
 
 TEST(QueueBatch, ReaderRunAnnouncedAsOneBatch) {
-  BatchRecordingSink sink;
+  SpanRecordingSink sink;
   FifoQueue queue(&sink);
   Request w;
   w.mode = AccessMode::Write;
   Request r[3];
   for (Request& req : r) req.mode = AccessMode::Read;
-  queue.insert(w);  // granted alone at the head: a single, never a batch
+  queue.insert(w);  // granted alone at the head: a span of one
   for (Request& req : r) queue.insert(req);
-  ASSERT_EQ(sink.singles.size(), 1u);
-  EXPECT_EQ(sink.singles[0], &w);
-  EXPECT_TRUE(sink.batches.empty());
+  ASSERT_EQ(sink.calls.size(), 1u);
+  ASSERT_EQ(sink.calls[0].size(), 1u);
+  EXPECT_EQ(sink.calls[0][0], &w);
 
   // Releasing the writer uncovers all three readers in ONE combiner pass:
-  // one on_grant_batch call, run in ticket order, all Granted before the
-  // sink heard anything.
+  // one on_grants call, run in ticket order, all Granted before the sink
+  // heard anything.
   queue.release(w);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  ASSERT_EQ(sink.batches[0].size(), 3u);
+  ASSERT_EQ(sink.calls.size(), 2u);
+  ASSERT_EQ(sink.calls[1].size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(sink.batches[0][static_cast<std::size_t>(i)], &r[i]);
+    EXPECT_EQ(sink.calls[1][static_cast<std::size_t>(i)], &r[i]);
     EXPECT_EQ(r[i].state, RequestState::Granted);
   }
-  EXPECT_EQ(sink.singles.size(), 1u) << "no reader announced twice";
+  EXPECT_EQ(sink.order.size(), 4u) << "no request announced twice";
 }
 
 TEST(QueueBatch, SingleUncoveredReaderStaysUnbatched) {
-  BatchRecordingSink sink;
+  SpanRecordingSink sink;
   FifoQueue queue(&sink);
   Request w;
   w.mode = AccessMode::Write;
@@ -344,17 +338,17 @@ TEST(QueueBatch, SingleUncoveredReaderStaysUnbatched) {
   queue.insert(w);
   queue.insert(r);
   queue.release(w);
-  // A run of one is announced through plain on_grant — batching must not
+  // A lone reader is announced as a span of one — batching must not
   // change the sink-visible shape of the common uncontended case.
-  EXPECT_TRUE(sink.batches.empty());
-  ASSERT_EQ(sink.singles.size(), 2u);
-  EXPECT_EQ(sink.singles[1], &r);
+  ASSERT_EQ(sink.calls.size(), 2u);
+  ASSERT_EQ(sink.calls[1].size(), 1u);
+  EXPECT_EQ(sink.calls[1][0], &r);
 }
 
 /// Drive one mixed scenario (write head, reader run, trailing write,
 /// renewals) against a queue; returns the announcement order as tickets.
 std::vector<Ticket> run_mixed_scenario(bool batch) {
-  BatchRecordingSink sink;
+  SpanRecordingSink sink;
   FifoQueue queue(&sink);
   queue.set_batch_grants(batch);
   Request w1, w2;
@@ -372,61 +366,88 @@ std::vector<Ticket> run_mixed_scenario(bool batch) {
   queue.release(w2);                  // uncovers r[3] (run of one)
   queue.release(r[3]);
 
+  // Unbatched, every announcement is a span of one.
+  if (!batch) {
+    for (const auto& call : sink.calls) EXPECT_EQ(call.size(), 1u);
+  }
   std::vector<Ticket> tickets;
   tickets.reserve(sink.order.size());
   for (const Request* req : sink.order) tickets.push_back(req->ticket);
   return tickets;
 }
 
-/// Sink whose first on_grant_batch throws — models a routing layer failing
-/// mid-delivery. The queue's contract: the run is persisted (Granted +
-/// announced flags) before the sink hears anything, so a throw must leave
-/// nothing behind for a later combiner round to re-announce.
-struct ThrowingBatchSink final : GrantSink {
-  // sink-contract: no-queue-reentry — records the pointer and returns.
-  void on_grant(Request& req) override { order.push_back(&req); }
+/// Sink whose `throw_on`-th call throws — models a routing layer failing
+/// mid-delivery. The queue's contract: the announced requests are
+/// persisted (Granted + announced flags) before the sink hears anything,
+/// so a throw must leave nothing behind for a later combiner round to
+/// re-announce, and no owner's release may spin on a wedged announcement.
+struct ThrowingSink final : GrantSink {
+  explicit ThrowingSink(int throw_on) : throw_on(throw_on) {}
   // sink-contract: no-queue-reentry — throws or records, never calls back.
-  void on_grant_batch(std::span<Request* const> reqs) override {
-    if (throws_left > 0) {
-      --throws_left;
-      throw std::runtime_error("sink failure mid-batch");
-    }
-    for (Request* r : reqs) order.push_back(r);
+  void on_grants(std::span<Request* const> reqs) override {
+    if (++calls == throw_on)
+      throw std::runtime_error("sink failure mid-announcement");
+    order.insert(order.end(), reqs.begin(), reqs.end());
   }
-  int throws_left = 1;
+  int throw_on;
+  int calls = 0;
   std::vector<Request*> order;
 };
 
-TEST(QueueBatch, ThrowingBatchSinkLeavesNoStaleRun) {
-  ThrowingBatchSink sink;
-  FifoQueue queue(&sink);
-  Request w;
-  w.mode = AccessMode::Write;
-  Request r[3];
-  for (Request& req : r) req.mode = AccessMode::Read;
-  queue.insert(w);  // granted alone through on_grant: does not throw
-  for (Request& req : r) queue.insert(req);
+TEST(QueueBatch, ThrowingSinkLeavesNoStaleRun) {
+  {
+    SCOPED_TRACE("reader run throws");
+    ThrowingSink sink(2);  // call 1: the writer; call 2: the reader run
+    FifoQueue queue(&sink);
+    Request w;
+    w.mode = AccessMode::Write;
+    Request r[3];
+    for (Request& req : r) req.mode = AccessMode::Read;
+    queue.insert(w);
+    for (Request& req : r) queue.insert(req);
 
-  // The batch announcement throws AFTER the run is persisted: every
-  // reader is Granted, announcement-flagged (so its release cannot spin
-  // forever), and the exception reaches the releaser.
-  EXPECT_THROW(queue.release(w), std::runtime_error);
-  for (Request& req : r)
-    EXPECT_EQ(req.state, RequestState::Granted);
+    // The run's announcement throws AFTER the run is persisted: every
+    // reader is Granted, announcement-flagged (so its release cannot spin
+    // forever), and the exception reaches the releaser.
+    EXPECT_THROW(queue.release(w), std::runtime_error);
+    for (Request& req : r)
+      EXPECT_EQ(req.state, RequestState::Granted);
 
-  // Recovery: later combiner rounds must not re-announce the failed run —
-  // by now its slots are being reclaimed and may belong to a new lap.
-  // Draining the readers and pushing a fresh writer through must announce
-  // exactly that writer, nothing from the thrown-away batch.
-  for (Request& req : r) queue.release(req);
-  Request w2;
-  w2.mode = AccessMode::Write;
-  queue.insert(w2);
-  EXPECT_EQ(w2.state, RequestState::Granted);
-  ASSERT_EQ(sink.order.size(), 2u);
-  EXPECT_EQ(sink.order[0], &w);
-  EXPECT_EQ(sink.order[1], &w2);
-  queue.release(w2);
+    // Recovery: later combiner rounds must not re-announce the failed run
+    // — by now its slots are being reclaimed and may belong to a new lap.
+    // Draining the readers and pushing a fresh writer through must
+    // announce exactly that writer, nothing from the thrown-away run.
+    for (Request& req : r) queue.release(req);
+    Request w2;
+    w2.mode = AccessMode::Write;
+    queue.insert(w2);
+    EXPECT_EQ(w2.state, RequestState::Granted);
+    ASSERT_EQ(sink.order.size(), 2u);
+    EXPECT_EQ(sink.order[0], &w);
+    EXPECT_EQ(sink.order[1], &w2);
+    queue.release(w2);
+  }
+  {
+    SCOPED_TRACE("lone write throws");
+    ThrowingSink sink(1);  // call 1: the writer
+    FifoQueue queue(&sink);
+    Request w, w2;
+    w.mode = w2.mode = AccessMode::Write;
+    EXPECT_THROW(queue.insert(w), std::runtime_error);
+    EXPECT_EQ(w.state, RequestState::Granted);
+    queue.insert(w2);  // queued behind the granted writer: no announcement
+    EXPECT_EQ(w2.state, RequestState::Requested);
+    // The announced flag was set on unwind, so this returns instead of
+    // spinning; the next writer is announced exactly once and the
+    // thrown-away write is never announced again.
+    queue.release(w);
+    EXPECT_EQ(w2.state, RequestState::Granted);
+    ASSERT_EQ(sink.order.size(), 1u);
+    EXPECT_EQ(sink.order[0], &w2);
+    queue.release(w2);
+    EXPECT_EQ(sink.calls, 2);
+    EXPECT_EQ(queue.size(), 0u);
+  }
 }
 
 TEST(QueueBatch, BatchedGrantsMatchUnbatchedReplay) {
@@ -444,7 +465,7 @@ TEST(QueueBatch, BatchRunSpansRingWraparound) {
   // tickets straddle it (slot indices wrap to the ring's start), and
   // release: the run must still arrive as ONE batch in ticket order —
   // the collection loop walks tickets, not raw slot indices.
-  BatchRecordingSink sink;
+  SpanRecordingSink sink;
   FifoQueue queue(&sink);
   const std::size_t cap = queue.capacity();
   Request w[2];
@@ -462,12 +483,12 @@ TEST(QueueBatch, BatchRunSpansRingWraparound) {
     queue.insert(req);  // tickets cap-1, cap, cap+1, cap+2
   }
   EXPECT_EQ(r[3].ticket, cap + 2);
-  sink.batches.clear();
+  sink.calls.clear();
   queue.release(w[cur]);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  ASSERT_EQ(sink.batches[0].size(), 4u);
+  ASSERT_EQ(sink.calls.size(), 1u);
+  ASSERT_EQ(sink.calls[0].size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(sink.batches[0][static_cast<std::size_t>(i)], &r[i]);
+    EXPECT_EQ(sink.calls[0][static_cast<std::size_t>(i)], &r[i]);
     EXPECT_EQ(r[i].state, RequestState::Granted);
   }
 }

@@ -11,10 +11,11 @@ scheduling noise:
   blocking": for each grant-delivery mode, the auto case's median must
   not exceed the block case's median by more than the tolerance.
 
-* Batched shared-read grants (FifoQueue::on_grant_batch, on by default)
-  exist to make reader fan-out cheaper: for each reader count, the
-  batched `runtime_shared_reads/N` median must not exceed the
-  `runtime_shared_reads/N/nobatch` median by more than the tolerance.
+* Batched shared-read grants (one GrantSink::on_grants span per reader
+  run, on by default) exist to make reader fan-out cheaper: for each
+  reader count, the batched `runtime_shared_reads/N` median must not
+  exceed the `runtime_shared_reads/N/nobatch` median by more than the
+  tolerance.
 
   python3 tools/check_autowait.py --bench build/micro_orwl_overhead \\
       [--baseline BENCH_micro_orwl_overhead.json] [--tolerance 0.10] \\

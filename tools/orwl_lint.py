@@ -3,10 +3,11 @@
 
 Rules
 -----
-sink-contract    Every `on_grant` override (and the pure-virtual declaration)
+sink-contract    Every `on_grants` override (and the pure-virtual declaration)
                  must carry a `// sink-contract: no-queue-reentry` comment on
                  the same line or within the preceding lines: the sink runs
-                 with the queue lock held and must never re-enter the queue.
+                 inside the queue's combining step and must never re-enter
+                 the queue.
                  Scope: src/ and tests/ (the model checker implements sinks).
 
 naked-acquire    `.acquire()` / `->acquire()` outside the Section RAII layer
@@ -97,7 +98,7 @@ RMW_ALLOWLIST = {
     "src/obs/metrics.h",
 }
 
-ON_GRANT_DECL = re.compile(r"\bon_grant\s*\(.*\)\s*(?:override|final|=\s*0)")
+ON_GRANT_DECL = re.compile(r"\bon_grants\s*\(.*\)\s*(?:override|final|=\s*0)")
 
 
 class Violation(NamedTuple):
@@ -145,7 +146,7 @@ def check_sink_contract(rel: str, lines: List[str]) -> Iterable[Violation]:
         if SINK_CONTRACT not in window(lines, i, SINK_WINDOW):
             yield Violation(
                 rel, i + 1, "sink-contract",
-                "on_grant override without a "
+                "on_grants override without a "
                 f"'// {SINK_CONTRACT}' contract comment")
 
 
