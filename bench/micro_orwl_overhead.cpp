@@ -218,6 +218,7 @@ Micro runtime_shared_reads(int readers, bool batch = true) {
             opts.control = RuntimeOptions::ControlMode::Direct;
             opts.record_flows = false;
             opts.batch_grants = batch;
+            opts.wait = sync::WaitStrategy::block();
             Runtime rt(opts);
             const LocationId loc = rt.add_location(4096);
             const auto body = [rounds](Handle& h) {

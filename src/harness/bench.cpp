@@ -178,6 +178,7 @@ CaseResult run_case(const CaseSpec& spec) {
       res.epochs = rep.epochs;
       res.replacements = rep.replacements;
       if (&backend == timing.get()) {
+        res.wait_ran = rep.wait;
         if (tracing) trace = std::move(rep.trace);
         if (keep_metrics) res.metrics = std::move(rep.metrics);
       }
@@ -318,6 +319,7 @@ void write_json(std::ostream& os, const std::vector<CaseResult>& results) {
       json.member("repetitions", r.spec.repetitions);
       json.member("wait_strategy", r.spec.wait ? sync::to_string(*r.spec.wait)
                                                : std::string("default"));
+      json.member("wait_ran", sync::to_string(r.wait_ran));
       json.member("memory_policy", mem::to_string(r.spec.memory));
       json.member("grants", r.grants);
       json.member("placed", r.placed);

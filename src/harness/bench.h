@@ -54,9 +54,11 @@ struct CaseSpec {
   /// Check the result against the workload's sequential reference.
   bool verify = true;
   std::uint64_t seed = 42;
-  /// Wait strategy for runtime-backend execution (Program::wait_strategy):
-  /// block, spin, or spin_then_park. Unset = the runtime default (block).
-  /// Ignored by the sim backend.
+  /// Wait strategy (Program::wait_strategy): block, spin, or
+  /// spin_then_park. Unset = the runtime default, spin_then_park(auto),
+  /// which blocks when the tasks outnumber the CPUs. The sim charges the
+  /// same resolution against its topology. CaseResult::wait_ran says what
+  /// it resolved to.
   std::optional<sync::WaitStrategy> wait;
   /// Location-memory policy (Program::memory_policy): heap (default),
   /// numa_local, or numa_interleave. Applied to both backends — the
@@ -88,6 +90,8 @@ struct CaseResult {
   int num_tasks = 0;
   Stats time;  ///< static-pattern placement timings
   std::uint64_t grants = 0;
+  /// The wait strategy the static-phase runs used (RunReport::wait).
+  sync::WaitStrategy wait_ran;
   bool placed = false;
   bool verify_ran = false;
   bool verified = false;

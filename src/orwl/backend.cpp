@@ -204,6 +204,7 @@ RunReport RuntimeBackend::run(const Program& program) {
   rt_->run();
   rep.seconds = timer.seconds();
   rep.grants = rt_->stats().read_grants() + rt_->stats().write_grants();
+  rep.wait = rt_->wait_strategy();
   rep.metrics = rt_->metrics().snapshot();
   if (obs::tracing_enabled()) rep.trace = obs::collect();
   return rep;
@@ -271,20 +272,26 @@ struct DerivedLoad {
   std::size_t num_locations = 0;
   /// Modelled grand total of lock acquisitions over the whole run.
   std::uint64_t total_grants = 0;
+  /// The resolved wait strategy the grants are charged under.
+  sync::WaitStrategy wait;
 };
 
-DerivedLoad derive_load(const Program& program) {
+DerivedLoad derive_load(const Program& program, int npus) {
   const auto& tasks = program.task_decls();
   const auto& locs = program.location_decls();
 
   DerivedLoad out;
   sim::Workload& load = out.base;
   load.sync = sim::SyncModel::OrwlEvents;
-  // Programs that opted into a spinning wait strategy dodge the futex
-  // park/wake pair on every grant; tell the simulator so its per-grant
-  // charge matches what the runtime would pay (sim::Workload::spin_waits).
-  if (program.wait_strategy())
-    load.spin_waits = program.wait_strategy()->mode != sync::WaitMode::Block;
+  // The wait the runtime would run under on a host of this topology's
+  // size: the program's strategy (or the RuntimeOptions default), resolved
+  // as Runtime::run resolves it. Spinning waits dodge the futex park/wake
+  // pair on every grant; tell the simulator so its per-grant charge
+  // matches (sim::Workload::spin_waits).
+  out.wait = sync::resolve_wait(
+      program.wait_strategy().value_or(RuntimeOptions{}.wait),
+      program.num_tasks(), npus);
+  load.spin_waits = out.wait.mode != sync::WaitMode::Block;
   load.threads.resize(tasks.size());
   load.iterations = 1;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -478,7 +485,7 @@ void apply_segment_acquires(const DerivedLoad& load, int r0,
 }  // namespace
 
 sim::Workload SimBackend::workload(const Program& program) const {
-  DerivedLoad derived = derive_load(program);
+  DerivedLoad derived = derive_load(program, topo_.num_pus());
   derived.base.edges =
       segment_edges(derived, 0, derived.base.iterations);
   return derived.base;
@@ -486,9 +493,9 @@ sim::Workload SimBackend::workload(const Program& program) const {
 
 RunReport SimBackend::run(const Program& program) {
   ORWL_CHECK_MSG(program.num_tasks() > 0, "program has no tasks");
-  const DerivedLoad derived = derive_load(program);
   const int n = program.num_tasks();
   const int npus = topo_.num_pus();
+  const DerivedLoad derived = derive_load(program, npus);
   const int rounds = derived.base.iterations;
 
   RunReport rep;
@@ -722,6 +729,7 @@ RunReport SimBackend::run(const Program& program) {
   rep.sim = last_;
   rep.seconds = last_.total_seconds;
   rep.grants = derived.total_grants;
+  rep.wait = derived.wait;
 
   if (synth) {
     for (std::size_t row = 0; row < synth_rows.size(); ++row) {

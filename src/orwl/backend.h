@@ -37,6 +37,10 @@ struct RunReport {
   std::string backend;      ///< "runtime" or "sim"
   double seconds = 0.0;     ///< wall time (runtime) or predicted (sim)
   std::uint64_t grants = 0; ///< delivered (runtime) or modelled acquisitions
+  /// The wait strategy the run used: what Runtime::run resolved (runtime)
+  /// or what the grants were charged under (sim) — sync::resolve_wait of
+  /// the program's strategy or the RuntimeOptions default.
+  sync::WaitStrategy wait;
   bool placed = false;      ///< a placement policy was applied
   place::Plan plan;         ///< the INITIAL placement, when placed
   sim::Report sim;          ///< cost-model breakdown (SimBackend only)

@@ -1,9 +1,16 @@
 #pragma once
-// Event queue feeding a control thread. The ORWL runtime is event-based:
-// when a request reaches the grant frontier of a location FIFO, the grant
-// is *announced* to the owning task's control thread, which performs the
-// delivery (waking the compute thread). Binding these control threads well
-// is half of the paper's placement problem.
+// Event queue feeding a control thread. The paper's ORWL runtime is
+// event-based: when a request reaches the grant frontier of a location
+// FIFO, the grant is *announced* to the owning task's control thread,
+// which performs the delivery (waking the compute thread). Binding these
+// control threads well is half of the paper's placement problem.
+//
+// In this runtime the queue carries grants only with
+// RuntimeOptions::inline_idle_delivery off. With it on (the default) the
+// announcer delivers inline whenever the queue is idle(), and since only
+// post_batch() makes the backlog non-zero the queue is idle every time:
+// no grant is ever posted, and the control threads stay parked in
+// pop_all() until stop().
 //
 // The consumer parks on an atomic sequence word through the shared sync::
 // waiter (same wait-strategy knob as every other parking point of the
@@ -35,7 +42,7 @@ struct Event {
 /// Unbounded MPSC event queue with blocking pop and shutdown.
 class EventQueue {
  public:
-  explicit EventQueue(sync::WaitStrategy wait = {}) : wait_(wait) {}
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -60,6 +67,11 @@ class EventQueue {
   /// nullopt.
   void stop() ORWL_EXCLUDES(mu_);
 
+  /// Set the consumer's wait strategy (block until then; Runtime::run sets
+  /// the resolved one before the control threads start). Not for use while
+  /// a pop may be parked.
+  void set_wait_strategy(sync::WaitStrategy wait) { wait_ = wait; }
+
   /// Events currently queued (diagnostics).
   [[nodiscard]] std::size_t pending() const ORWL_EXCLUDES(mu_);
 
@@ -82,7 +94,7 @@ class EventQueue {
   /// Mirror of events_.size(), maintained under mu_ but readable without
   /// it (idle() above).
   std::atomic<std::uint32_t> backlog_{0};
-  sync::WaitStrategy wait_;
+  sync::WaitStrategy wait_{};
 };
 
 }  // namespace orwl

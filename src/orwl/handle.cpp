@@ -9,8 +9,8 @@
 namespace orwl {
 
 Handle::Handle(HandleId id, TaskId task, LocationBuffer& location,
-               AccessMode mode, sync::WaitStrategy wait)
-    : id_(id), task_(task), location_(location), mode_(mode), wait_(wait) {
+               AccessMode mode)
+    : id_(id), task_(task), location_(location), mode_(mode) {
   for (Request& r : slots_) {
     r.mode = mode;
     r.owner = task;

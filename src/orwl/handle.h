@@ -32,8 +32,7 @@ namespace orwl {
 
 class Handle {
  public:
-  Handle(HandleId id, TaskId task, LocationBuffer& location, AccessMode mode,
-         sync::WaitStrategy wait = {});
+  Handle(HandleId id, TaskId task, LocationBuffer& location, AccessMode mode);
 
   Handle(const Handle&) = delete;
   Handle& operator=(const Handle&) = delete;
@@ -88,6 +87,11 @@ class Handle {
     acquire_ns_ = acquire_ns;
   }
 
+  /// Set the wait strategy (block until then; Runtime::run sets the
+  /// resolved one before any thread can acquire). Not for use while a wait
+  /// may be in flight.
+  void set_wait_strategy(sync::WaitStrategy wait) { wait_ = wait; }
+
   /// Wire the self-tuned spin budget (WaitMode::Auto only; done by
   /// Runtime::add_handle, may be null). acquire() re-reads it every wait,
   /// so epoch-boundary retunes apply immediately.
@@ -104,7 +108,7 @@ class Handle {
   TaskId task_;
   LocationBuffer& location_;
   AccessMode mode_;
-  sync::WaitStrategy wait_;
+  sync::WaitStrategy wait_{};
 
   Request slots_[2];
   int active_ = 0;

@@ -388,8 +388,10 @@ class Program {
   /// Wait-strategy knob for real execution (RuntimeBackend): how this
   /// program's compute threads, control threads and epoch barrier wait —
   /// block, spin, or spin-then-park (sync/wait_strategy.h). Unset leaves
-  /// the backend's RuntimeOptions default in force. SimBackend ignores it
-  /// (the analytic lock model does not distinguish parking disciplines).
+  /// the backend's RuntimeOptions default in force. SimBackend resolves
+  /// it (unset: the RuntimeOptions default) against its topology the way
+  /// Runtime::run does and discounts the futex park/wake pair on every
+  /// grant when the result spins (sim::Workload::spin_waits).
   void wait_strategy(sync::WaitStrategy ws) { wait_ = ws; }
   [[nodiscard]] const std::optional<sync::WaitStrategy>& wait_strategy()
       const {

@@ -18,12 +18,15 @@ namespace orwl {
 Handle& TaskContext::handle(HandleId h) { return runtime_.handle(h); }
 
 Runtime::Runtime(RuntimeOptions opts)
-    : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {
+    : opts_(opts),
+      wait_(opts.wait),
+      arena_({.policy = opts.memory}),
+      stats_(0, metrics_) {
   if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
     ORWL_CHECK_MSG(opts_.shared_control_threads >= 1,
                    "shared control pool needs at least one thread");
     for (int i = 0; i < opts_.shared_control_threads; ++i)
-      shared_queues_.push_back(std::make_unique<EventQueue>(opts_.wait));
+      shared_queues_.push_back(std::make_unique<EventQueue>());
     shared_bindings_.resize(
         static_cast<std::size_t>(opts_.shared_control_threads));
   }
@@ -79,7 +82,7 @@ TaskId Runtime::add_task(std::string name, TaskFn fn) {
   TaskRec rec;
   rec.name = std::move(name);
   rec.fn = std::move(fn);
-  rec.events = std::make_unique<EventQueue>(opts_.wait);
+  rec.events = std::make_unique<EventQueue>();
   tasks_.push_back(std::move(rec));
   stats_.resize(static_cast<int>(tasks_.size()));
   return id;
@@ -97,8 +100,7 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
   // in-flight bound (2 requests per owner) below ring capacity so
   // release_and_renew can never fill it (see FifoQueue::reserve_owners).
   loc.queue().reserve_owners(1);
-  handles_.push_back(std::make_unique<Handle>(id, task, loc, mode,
-                                              opts_.wait));
+  handles_.push_back(std::make_unique<Handle>(id, task, loc, mode));
   // Per-handle observability: wait-length and acquire-latency histograms,
   // named by handle so the dump/report can attribute contention.
   const std::string suffix = "/h" + std::to_string(id);
@@ -210,7 +212,7 @@ void Runtime::epoch_arrive(TaskId task, int round) {
     // below returns immediately.
     gen = esync_generation_.load(std::memory_order_relaxed);
   }
-  (void)sync::wait_while_equal(esync_generation_, gen, opts_.wait);
+  (void)sync::wait_while_equal(esync_generation_, gen, wait_);
 }
 
 void Runtime::epoch_retire(TaskId task) {
@@ -452,6 +454,18 @@ void Runtime::run() {
   ORWL_CHECK_MSG(!ran_, "Runtime::run() may only be called once");
   ORWL_CHECK_MSG(!tasks_.empty(), "no tasks to run");
   ran_ = true;
+
+  // Spin where it pays: resolve the wait once, before any thread exists
+  // (thread creation publishes it), against the CPUs this thread — and so
+  // every unbound thread it spawns — may run on.
+  const std::optional<topo::Bitmap> cpus = topo::current_thread_binding();
+  wait_ = sync::resolve_wait(
+      opts_.wait, num_tasks(),
+      cpus ? cpus->count()
+           : static_cast<int>(std::thread::hardware_concurrency()));
+  for (auto& h : handles_) h->set_wait_strategy(wait_);
+  for (auto& rec : tasks_) rec.events->set_wait_strategy(wait_);
+  for (auto& q : shared_queues_) q->set_wait_strategy(wait_);
 
   // Epoch barrier population: every task participates until it retires.
   // (Still single-threaded here, but the barrier fields are guarded by

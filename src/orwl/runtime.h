@@ -81,7 +81,10 @@ struct RuntimeOptions {
   /// switch, futex wake) that buys nothing when there is no backlog to
   /// batch. The lock-free grant path makes this safe: announcement holds
   /// no lock, so the woken thread's next queue operation cannot convoy
-  /// behind the announcer. Control threads still drain bursts. Ignored in
+  /// behind the announcer. The backlog only grows in
+  /// EventQueue::post_batch, which this path skips, so with the flag on
+  /// every grant is delivered inline and the control threads stay parked
+  /// for the whole run (they deliver only with the flag off). Ignored in
   /// ControlMode::Direct (delivery is already inline).
   bool inline_idle_delivery = true;
 
@@ -95,8 +98,12 @@ struct RuntimeOptions {
 
   /// How every parking point of this runtime waits (handle grant waits,
   /// control-thread event pops, the epoch barrier): block, spin, or
-  /// spin-then-park. See sync/wait_strategy.h.
-  sync::WaitStrategy wait{};
+  /// spin-then-park. The default, spin_then_park(auto), spins with a
+  /// self-tuned budget when the compute threads (one per task) fit the
+  /// CPUs of the affinity mask run() is called under, and blocks when
+  /// they do not (sync::resolve_wait; run() decides once, before any
+  /// thread starts). See sync/wait_strategy.h.
+  sync::WaitStrategy wait = sync::WaitStrategy::spin_then_park_auto();
 
   /// Where location pages live (mem/policy.h): the process heap (default)
   /// or NUMA-aware mmap segments that place_location_memory() binds to the
@@ -240,6 +247,11 @@ class Runtime : private GrantSink {
     return static_cast<int>(handles_.size());
   }
 
+  /// The strategy this runtime's parking points wait with:
+  /// RuntimeOptions::wait until run() starts, then what run() resolved it
+  /// to for this run's task count and CPUs (sync::resolve_wait).
+  [[nodiscard]] sync::WaitStrategy wait_strategy() const { return wait_; }
+
   Handle& handle(HandleId h);
   [[nodiscard]] const std::string& task_name(TaskId t) const;
 
@@ -250,9 +262,10 @@ class Runtime : private GrantSink {
 
   // --- execution ----------------------------------------------------------
 
-  /// Prime the FIFOs, spawn control + compute threads, wait for all task
-  /// bodies to return. Runs once; a second call throws. Exceptions thrown
-  /// by task bodies are rethrown here (first one wins).
+  /// Resolve the wait strategy (wait_strategy()), prime the FIFOs, spawn
+  /// control + compute threads, wait for all task bodies to return. Runs
+  /// once; a second call throws. Exceptions thrown by task bodies are
+  /// rethrown here (first one wins).
   void run();
 
   // --- communication matrices (paper Sec. II) -----------------------------
@@ -295,7 +308,9 @@ class Runtime : private GrantSink {
   /// Re-derive every Auto handle's spin budget from its wait-round
   /// histogram's last-epoch window (epoch-boundary context: compute
   /// threads parked, so the snapshots are exact). No-op unless
-  /// RuntimeOptions::wait is spin_then_park(auto).
+  /// RuntimeOptions::wait is spin_then_park(auto). A run that resolved
+  /// auto to block still tunes and exports the budgets; no waiter reads
+  /// them.
   void retune_wait_budgets();
   void control_loop(TaskId task);
   void shared_control_loop(int pool_index);
@@ -309,6 +324,8 @@ class Runtime : private GrantSink {
   void epoch_fire(sync::UniqueLock& lock) ORWL_NO_THREAD_SAFETY_ANALYSIS;
 
   RuntimeOptions opts_;
+  /// opts_.wait until run() resolves it; read by every parking point.
+  sync::WaitStrategy wait_;
   mem::Arena arena_;
   std::vector<std::unique_ptr<LocationBuffer>> locations_;
   std::vector<TaskRec> tasks_;

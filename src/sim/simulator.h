@@ -57,7 +57,8 @@ struct Workload {
   std::vector<Edge> edges;
   SyncModel sync = SyncModel::OrwlEvents;
   int iterations = 1;
-  /// Waiters spin (spin / spin_then_park / auto) instead of blocking:
+  /// Waiters spin (spin / spin_then_park, or auto where the tasks fit the
+  /// PUs — sync::resolve_wait) instead of blocking:
   /// grant delivery skips the futex park/wake pair, so per-grant cost is
   /// discounted by LinkCost::park_latency + wake_latency (floored at a
   /// quarter of grant_overhead). False = blocking waits, charged the full

@@ -19,10 +19,28 @@
 //                      core to run.
 //   spin             — never park; cpu-relax bursts with periodic yields.
 //                      Lowest wake latency, burns a PU; benchmarking only.
+//   spin_then_park(auto)
+//                    — spin where it pays: spin-then-park with a
+//                      self-tuned budget (adaptive_wait.h) when the run's
+//                      compute threads fit its CPUs, block otherwise
+//                      (resolve_wait below). The runtime default.
+//
+// Why auto spins only when the threads fit: with a CPU per compute
+// thread a grant lands while the waiter still spins, so the futex
+// park/wake pair — the wake-up latency fine-grained runs are bound by —
+// disappears. On a 4-CPU KVM host, orwl_bench at 4 tasks, size 64, 2500
+// iterations, the default ran alltoall about 2x and stencil2d about 1.3x
+// faster than block (CHANGES.md has the interleaved A/B). Where threads
+// outnumber CPUs the evidence is mixed: on the 48-task oversub workload
+// spinning measured a few percent slower in quiet sets and faster in a
+// busy one, and with 4 tasks on 1-2 CPUs it measured faster in some sets
+// of runs and slower in others. There auto blocks, the pre-auto default,
+// until a wider curve settles it.
 //
 // The strategy is plumbed from Program::wait_strategy() / RuntimeOptions
-// down to every waiter, and swept by bench/micro_orwl_overhead and
-// tools/orwl_bench --wait-strategy.
+// down to every waiter (Runtime::run resolves auto once, before any thread
+// starts), and swept by bench/micro_orwl_overhead and tools/orwl_bench
+// --wait-strategy.
 
 #include <cstdint>
 #include <string>
@@ -33,7 +51,8 @@ enum class WaitMode : std::uint8_t {
   Block,         ///< park immediately (futex wait)
   SpinThenPark,  ///< bounded spin (relax, then yield), then park
   Spin,          ///< spin forever (relax bursts + periodic yields)
-  Auto,          ///< spin-then-park with a self-tuned spin budget
+  Auto,          ///< self-tuned spin-then-park if threads fit the CPUs,
+                 ///< else block (resolve_wait)
 };
 
 struct WaitStrategy {
@@ -59,11 +78,12 @@ struct WaitStrategy {
   [[nodiscard]] static constexpr WaitStrategy spin() {
     return {WaitMode::Spin, 0};
   }
-  /// Self-tuning spin-then-park: waiters with an AdaptiveWaitBudget
-  /// (sync/adaptive_wait.h) re-read their spin budget every wait; the
-  /// runtime re-derives budgets from the per-handle wait-round histograms
-  /// at epoch boundaries. Untuned parking points treat it as
-  /// spin_then_park(spins).
+  /// Spin where it pays: resolve_wait turns it into block when the run is
+  /// oversubscribed. Otherwise it is a self-tuning spin-then-park: waiters
+  /// with an AdaptiveWaitBudget (sync/adaptive_wait.h) re-read their spin
+  /// budget every wait; the runtime re-derives budgets from the per-handle
+  /// wait-round histograms at epoch boundaries. Untuned parking points
+  /// treat it as spin_then_park(spins).
   [[nodiscard]] static constexpr WaitStrategy spin_then_park_auto() {
     return {WaitMode::Auto, 256};
   }
@@ -71,6 +91,17 @@ struct WaitStrategy {
   friend bool operator==(const WaitStrategy& a,
                          const WaitStrategy& b) = default;
 };
+
+/// What `ws` means for a run of `threads` compute threads on `cpus` CPUs
+/// (the calling thread's affinity mask, so taskset and cpusets count):
+/// Auto stays Auto when every thread has a CPU of its own and becomes
+/// block otherwise; every other strategy passes through unchanged. An
+/// unknown CPU count (cpus <= 0) counts as oversubscribed.
+[[nodiscard]] constexpr WaitStrategy resolve_wait(WaitStrategy ws,
+                                                  int threads, int cpus) {
+  if (ws.mode != WaitMode::Auto || threads <= cpus) return ws;
+  return WaitStrategy::block();
+}
 
 /// "block", "spin_then_park(256)", "spin", "spin_then_park(auto)".
 std::string to_string(const WaitStrategy& ws);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "lk23/kernel.h"
@@ -14,6 +15,7 @@
 #include "orwl/backend.h"
 #include "orwl/program.h"
 #include "sim/lk23_model.h"
+#include "topo/binding.h"
 
 namespace orwl {
 namespace {
@@ -77,6 +79,40 @@ TEST(BackendParity, RingProducesIdenticalResultsOnBothBackends) {
   EXPECT_EQ(real_rep.backend, "runtime");
   EXPECT_TRUE(sim_rep.placed);
   EXPECT_TRUE(real_rep.placed);
+}
+
+TEST(BackendParity, DefaultWaitResolvesAlikeOnBothBackends) {
+  // A default-wait program runs spin-then-park when its tasks fit the
+  // CPUs and blocks when they do not; the sim must charge the same wait
+  // for a topology of the same size. Pin this thread (and so the
+  // runtime's threads) to one CPU and model a one-PU machine: a single
+  // task fits, a two-stage ring does not.
+  const std::optional<topo::Bitmap> mask = topo::current_thread_binding();
+  if (!mask) GTEST_SKIP() << "no affinity mask on this platform";
+  const topo::ScopedBinding one_cpu(topo::Bitmap::single(mask->first()));
+  ASSERT_TRUE(one_cpu.bound());
+
+  Program fits;
+  const Location<long> counter = fits.location<long>(1, "counter");
+  fits.task("solo").writes(counter).iterations(5).body([counter](Step& s) {
+    s.write(counter, [](std::span<long> x) { x[0] += 1; });
+  });
+  Program oversubscribed;
+  define_ring(oversubscribed, 2, 5);
+
+  SimBackend sim(topo::Topology::flat(1));
+  const struct {
+    const Program& program;
+    sync::WaitStrategy expect;
+  } cases[] = {{fits, sync::WaitStrategy::spin_then_park_auto()},
+               {oversubscribed, sync::WaitStrategy::block()}};
+  for (const auto& c : cases) {
+    RuntimeBackend real;
+    EXPECT_EQ(c.program.run(real).wait, c.expect);
+    EXPECT_EQ(c.program.run(sim).wait, c.expect);
+    EXPECT_EQ(sim.workload(c.program).spin_waits,
+              c.expect.mode != sync::WaitMode::Block);
+  }
 }
 
 TEST(BackendParity, SimWithoutEmulationRefusesFetch) {

@@ -6,12 +6,15 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <vector>
 
+#include "obs/trace.h"
 #include "orwl/runtime.h"
 #include "support/assert.h"
 #include "sync/adaptive_wait.h"
 #include "sync/wait_strategy.h"
+#include "topo/binding.h"
 
 namespace orwl {
 namespace {
@@ -415,12 +418,87 @@ TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
   }
 }
 
+TEST(Runtime, DefaultRunDeliversNoGrantThroughControlThreads) {
+  // With inline idle delivery on (the default) the event backlog never
+  // grows, so every grant is delivered inline and no control thread ever
+  // drains a batch; with it off, every grant hops through one.
+  const bool prev = obs::enable_tracing(true);
+  if (!obs::tracing_enabled()) {
+    obs::enable_tracing(prev);
+    GTEST_SKIP() << "trace hooks compiled out (ORWL_OBS_TRACE=OFF)";
+  }
+  const auto event_pops = [](const RuntimeOptions& opts) {
+    obs::reset();
+    (void)run_alternation(opts, 200);
+    std::size_t pops = 0;
+    for (const obs::TraceThread& t : obs::collect().threads)
+      for (const obs::TraceEvent& ev : t.events)
+        pops += ev.kind == obs::EventKind::EventPop ? 1 : 0;
+    return pops;
+  };
+  RuntimeOptions queued;
+  queued.inline_idle_delivery = false;
+  const std::size_t default_pops = event_pops(RuntimeOptions{});
+  const std::size_t queued_pops = event_pops(queued);
+  obs::reset();
+  obs::enable_tracing(prev);
+  EXPECT_EQ(default_pops, 0u);
+  EXPECT_GT(queued_pops, 0u);
+}
+
+/// `tasks` writers take turns on one location for a few rounds under
+/// `wait`; returns the strategy the run resolved to.
+sync::WaitStrategy resolved_wait(int tasks, sync::WaitStrategy wait) {
+  constexpr int kRounds = 20;
+  RuntimeOptions opts;
+  opts.wait = wait;
+  Runtime rt(opts);
+  const LocationId loc = rt.add_location(sizeof(long));
+  for (int t = 0; t < tasks; ++t) {
+    rt.add_task("w" + std::to_string(t), [t](TaskContext& ctx) {
+      Handle& h = ctx.handle(t);
+      for (int r = 0; r < kRounds; ++r) {
+        as_span<long>(h.acquire())[0] += 1;
+        if (r + 1 == kRounds)
+          h.release();
+        else
+          h.release_and_renew();
+      }
+    });
+    rt.add_handle(t, loc, AccessMode::Write);
+  }
+  EXPECT_EQ(rt.wait_strategy(), wait);  // configured until run() resolves
+  rt.run();
+  EXPECT_EQ(as_span<long>(rt.location_data(loc))[0], tasks * kRounds);
+  return rt.wait_strategy();
+}
+
+TEST(Runtime, AutoWaitSpinsOnlyWhenTasksFitTheAffinityMask) {
+  const sync::WaitStrategy autow = sync::WaitStrategy::spin_then_park_auto();
+  EXPECT_EQ(RuntimeOptions{}.wait, autow);  // the default
+  const std::optional<topo::Bitmap> mask = topo::current_thread_binding();
+  if (!mask) GTEST_SKIP() << "no affinity mask on this platform";
+  // Narrow this thread (and so every thread run() spawns) to one CPU: one
+  // task fits it, two do not.
+  const topo::ScopedBinding one_cpu(topo::Bitmap::single(mask->first()));
+  ASSERT_TRUE(one_cpu.bound());
+  EXPECT_EQ(resolved_wait(1, autow), autow);
+  EXPECT_EQ(resolved_wait(2, autow), sync::WaitStrategy::block());
+  // Explicit non-auto strategies run as given, oversubscribed or not.
+  EXPECT_EQ(resolved_wait(2, sync::WaitStrategy::spin_then_park(64)),
+            sync::WaitStrategy::spin_then_park(64));
+  EXPECT_EQ(resolved_wait(2, sync::WaitStrategy::spin()),
+            sync::WaitStrategy::spin());
+}
+
 TEST(Runtime, AutoWaitBudgetRetunedAtEpochBoundaries) {
   // spin_then_park(auto): each handle gets an AdaptiveWaitBudget fed from
   // its wait-rounds histogram at every epoch boundary, exported as the
   // orwl.spin_budget gauge. Alternating writers always wait on each
   // other, so every epoch window has samples and the retune must leave
-  // the budget inside [kMinSpins, kMaxSpins].
+  // the budget inside [kMinSpins, kMaxSpins]. On a host where the two
+  // tasks do not fit the affinity mask auto resolves to block; the
+  // budgets are still tuned and exported there, no waiter reads them.
   constexpr int kIters = 40;
   RuntimeOptions opts;
   opts.control = RuntimeOptions::ControlMode::Direct;

@@ -66,6 +66,29 @@ TEST(WaitStrategy, ParseRoundTrip) {
                ContractError);
 }
 
+TEST(WaitStrategy, ResolveAutoSpinsOnlyWhenThreadsFitCpus) {
+  const sync::WaitStrategy autow = sync::WaitStrategy::spin_then_park_auto();
+  // Auto: spin-then-park while every thread has a CPU, block beyond.
+  EXPECT_EQ(sync::resolve_wait(autow, 1, 1), autow);
+  EXPECT_EQ(sync::resolve_wait(autow, 4, 4), autow);
+  EXPECT_EQ(sync::resolve_wait(autow, 3, 64), autow);
+  EXPECT_EQ(sync::resolve_wait(autow, 5, 4), sync::WaitStrategy::block());
+  EXPECT_EQ(sync::resolve_wait(autow, 48, 4), sync::WaitStrategy::block());
+  // An unknown CPU count counts as oversubscribed.
+  EXPECT_EQ(sync::resolve_wait(autow, 1, 0), sync::WaitStrategy::block());
+  // Explicit non-auto strategies pass through, fitting or not.
+  for (const sync::WaitStrategy ws :
+       {sync::WaitStrategy::block(), sync::WaitStrategy::spin(),
+        sync::WaitStrategy::spin_then_park(),
+        sync::WaitStrategy::spin_then_park(16)}) {
+    EXPECT_EQ(sync::resolve_wait(ws, 2, 4), ws) << sync::to_string(ws);
+    EXPECT_EQ(sync::resolve_wait(ws, 8, 1), ws) << sync::to_string(ws);
+  }
+  // Pure: usable at compile time.
+  static_assert(sync::resolve_wait(sync::WaitStrategy::spin_then_park_auto(),
+                                   2, 1) == sync::WaitStrategy::block());
+}
+
 TEST(WaitStrategy, AutoParseRoundTrip) {
   EXPECT_EQ(sync::parse_wait_strategy("spin_then_park(auto)"),
             sync::WaitStrategy::spin_then_park_auto());

@@ -49,10 +49,17 @@ int usage(const char* argv0, int code) {
      << "  --epoch N       epoch length in iterations for --replace "
         "(default 2)\n"
      << "  --tau X         on_drift threshold in [0,1] (default 0.25)\n"
-     << "  --wait-strategy S   runtime-backend wait strategy: block | spin "
-        "|\n"
-     << "                  spin_then_park[(N)] (default: runtime default, "
-        "block)\n"
+     << "  --wait-strategy S   wait strategy: block | spin | "
+        "spin_then_park[(N)] |\n"
+     << "                  spin_then_park(auto) (default: the runtime "
+        "default,\n"
+     << "                  spin_then_park(auto), which blocks when the tasks "
+        "outnumber\n"
+     << "                  the CPUs of the affinity mask, or the sim "
+        "topology's PUs);\n"
+     << "                  the 'wait ran' column shows what each case ran "
+        "under.\n"
+     << "                  block reproduces the pre-auto default\n"
      << "  --memory-policy P   location memory: heap | numa_local | "
         "numa_interleave\n"
      << "                  (default heap); a non-heap policy runs each "
@@ -233,15 +240,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Table table({"case", "tasks", "time (median ±MAD)", "feedback time",
-               "feedback speedup", "replaced", "verified"});
+  Table table({"case", "tasks", "wait ran", "time (median ±MAD)",
+               "feedback time", "feedback speedup", "replaced", "verified"});
   bool all_ok = true;
   for (const harness::CaseResult& r : results) {
     const bool ok = !r.verify_ran || r.verified;
     all_ok = all_ok && ok;
     table.add_row(
         {harness::case_name(r.spec), std::to_string(r.num_tasks),
-         fmt_stats(r.time),
+         sync::to_string(r.wait_ran), fmt_stats(r.time),
          r.feedback.ran ? fmt_stats(r.feedback.time) : std::string("-"),
          r.feedback.ran ? orwl::fmt(r.feedback.speedup, 2) + "x"
                         : std::string("-"),
